@@ -67,10 +67,12 @@ pub(crate) fn run_wait_flush<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) {
             }
         }
         inner.detached.prune_committed(v);
-        inner.committed_version.store(v, Ordering::Release);
+        // Observers run before the version is published, so a caller that
+        // sees `committed_version() >= v` knows they have seen `v`.
         for cb in inner.commit_callbacks.lock().iter() {
             cb(v, &manifest.sessions);
         }
+        inner.committed_version.store(v, Ordering::Release);
     }
     let _g = inner.commit_lock.lock();
     inner.commit_cv.notify_all();
@@ -96,7 +98,7 @@ fn try_wait_flush<V: Pod>(
         lie = Some(hl.tail());
     }
 
-    let lhe = hl.tail();
+    let lhe = ctx.fold_end.unwrap_or_else(|| hl.tail());
     let flush_t0 = inner.metrics_on.then(std::time::Instant::now);
     let mut snapshot_start = None;
     match ctx.variant {

@@ -19,6 +19,13 @@
 //! Frames hold pages as `AtomicU64` words: record fields are word-aligned,
 //! so in-place updates and concurrent reads are tear-free at word
 //! granularity without locks.
+//!
+//! All frames live in one zeroed allocation (the *arena*). A large zeroed
+//! allocation is a fresh anonymous mapping, so the OS commits its pages
+//! on first touch: opening or recovering a store costs nothing for frames
+//! the log has not reached yet. To keep it that way a frame is zeroed
+//! only if its page-table cell shows it has held a page; the invariant is
+//! that a frame whose cell is 0 is all zero.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,20 +80,17 @@ impl HlogConfig {
     }
 }
 
-struct Frame {
-    words: Box<[AtomicU64]>,
+/// One zeroed allocation of `words` atomic words.
+fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
+    let arena = Box::<[AtomicU64]>::new_zeroed_slice(words);
+    // SAFETY: `AtomicU64` has the same in-memory representation as `u64`,
+    // for which the all-zero bit pattern is a valid value.
+    unsafe { arena.assume_init() }
 }
 
-impl Frame {
-    fn new(words: usize) -> Self {
-        Frame {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-    fn zero(&self) {
-        for w in self.words.iter() {
-            w.store(0, Ordering::Relaxed);
-        }
+fn zero_frame(frame: &[AtomicU64]) {
+    for w in frame {
+        w.store(0, Ordering::Relaxed);
     }
 }
 
@@ -104,8 +108,11 @@ pub struct HybridLog {
     pub layout: PageLayout,
     pub rec: RecordLayout,
     cfg: HlogConfig,
-    frames: Box<[Frame]>,
-    /// `page + 1` currently resident in each frame (0 = empty).
+    /// `memory_pages` frames of `words_per_page` words each, back to back.
+    frames: Box<[AtomicU64]>,
+    words_per_page: usize,
+    /// `page + 1` currently resident in each frame (0 = empty; the frame
+    /// is then all zero).
     page_table: Box<[AtomicU64]>,
     /// Packed `(page << 32) | offset` tail.
     tail_po: CachePadded<AtomicU64>,
@@ -146,10 +153,7 @@ impl HybridLog {
         let layout = PageLayout::new(cfg.page_bits);
         let rec = RecordLayout::new(cfg.value_size);
         let words_per_page = (layout.page_size() / 8) as usize;
-        let frames = (0..cfg.memory_pages)
-            .map(|_| Frame::new(words_per_page))
-            .collect::<Vec<_>>()
-            .into();
+        let frames = zeroed_words(cfg.memory_pages * words_per_page);
         let page_table = (0..cfg.memory_pages)
             .map(|i| AtomicU64::new(if i == 0 { 1 } else { 0 })) // page 0 resident
             .collect::<Vec<_>>()
@@ -160,6 +164,7 @@ impl HybridLog {
             rec,
             cfg,
             frames,
+            words_per_page,
             page_table,
             tail_po: CachePadded::new(AtomicU64::new(begin)), // page 0, offset = begin
             read_only: CachePadded::new(AtomicU64::new(0)),
@@ -214,8 +219,9 @@ impl HybridLog {
     }
 
     #[inline]
-    fn frame_of(&self, page: u64) -> &Frame {
-        &self.frames[(page as usize) & (self.cfg.memory_pages - 1)]
+    fn frame_of(&self, page: u64) -> &[AtomicU64] {
+        let start = ((page as usize) & (self.cfg.memory_pages - 1)) * self.words_per_page;
+        &self.frames[start..start + self.words_per_page]
     }
 
     #[inline]
@@ -236,8 +242,9 @@ impl HybridLog {
         debug_assert_eq!(addr % 8, 0);
         let page = self.layout.page(addr);
         debug_assert!(self.resident(page), "access to non-resident page {page}");
+        let frame = (page as usize) & (self.cfg.memory_pages - 1);
         let off = (self.layout.offset(addr) / 8) as usize;
-        &self.frame_of(page).words[off]
+        &self.frames[frame * self.words_per_page + off]
     }
 
     /// Allocate one record slot at the tail; returns its address.
@@ -316,10 +323,10 @@ impl HybridLog {
         // the device and below the safe head.
         let cell = self.page_cell(page);
         let mut spins = 0u64;
-        loop {
+        let held = loop {
             let cur = cell.load(Ordering::Acquire);
             if cur == 0 {
-                break;
+                break false;
             }
             let prev_page = cur - 1;
             debug_assert!(prev_page < page);
@@ -327,7 +334,7 @@ impl HybridLog {
             if self.safe_head.load(Ordering::Acquire) >= prev_end
                 && self.flushed_durable() >= prev_end
             {
-                break;
+                break true;
             }
             spins += 1;
             if spins.is_multiple_of(16) {
@@ -338,8 +345,10 @@ impl HybridLog {
             } else {
                 std::hint::spin_loop();
             }
+        };
+        if held {
+            zero_frame(self.frame_of(page));
         }
-        self.frame_of(page).zero();
         cell.store(page + 1, Ordering::Release);
     }
 
@@ -480,7 +489,7 @@ impl HybridLog {
             let frame = self.frame_of(page);
             let w0 = (self.layout.offset(addr) / 8) as usize;
             let w1 = ((self.layout.offset(page_end - 1) / 8) + 1) as usize;
-            for w in &frame.words[w0..w1] {
+            for w in &frame[w0..w1] {
                 out.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
             }
             addr = page_end;
@@ -521,7 +530,7 @@ impl HybridLog {
                 let frame = self.frame_of(page);
                 let w0 = (self.layout.offset(addr) / 8) as usize;
                 let w1 = ((self.layout.offset(page_end - 1) / 8) + 1) as usize;
-                for w in &frame.words[w0..w1] {
+                for w in &frame[w0..w1] {
                     chunk.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
                 }
                 // Re-check: if the frame was reclaimed mid-copy the bytes
@@ -600,9 +609,14 @@ impl HybridLog {
     /// it on the device (post-recovery state).
     pub fn restore_at(&self, tail: Address) {
         let page = self.layout.page(tail);
-        for (i, cell) in self.page_table.iter().enumerate() {
-            cell.store(0, Ordering::Relaxed);
-            self.frames[i].zero();
+        for (frame, cell) in self
+            .frames
+            .chunks_exact(self.words_per_page)
+            .zip(self.page_table.iter())
+        {
+            if cell.swap(0, Ordering::Relaxed) != 0 {
+                zero_frame(frame);
+            }
         }
         self.page_cell(page).store(page + 1, Ordering::Relaxed);
         self.tail_po
@@ -788,6 +802,72 @@ mod tests {
         assert_eq!(log.flushed_durable(), 100 * rs);
         let a = log.allocate(&g);
         assert_eq!(a, 100 * rs);
+    }
+
+    /// Fill `pages` pages of a 4-frame log with non-zero records, so
+    /// every frame has held a page and the log has wrapped.
+    fn wrapped_log(pages: usize) -> (Arc<HybridLog>, Arc<EpochManager>, Guard) {
+        let cfg = HlogConfig {
+            page_bits: 12,
+            memory_pages: 4,
+            mutable_pages: 1,
+            value_size: 8,
+        };
+        let (log, e, g) = mk(cfg);
+        let per_page = (1 << 12) / log.rec.record_size();
+        for i in 0..per_page * pages {
+            let a = log.allocate(&g);
+            log.write_record(a, Header::new(0, 1), !0, &[!(i as u64)]);
+            if i % 16 == 0 {
+                g.refresh();
+            }
+        }
+        (log, e, g)
+    }
+
+    #[test]
+    fn reused_frame_reads_zero_past_its_last_record() {
+        let (log, _e, g) = wrapped_log(9);
+        // One more record opens a page in a frame that held an older one.
+        let a = log.allocate(&g);
+        log.write_record(a, Header::new(0, 1), 7, &[7]);
+        let page = log.layout.page(log.tail());
+        assert!(page >= 8, "log must have wrapped (tail page {page})");
+        let end = log.layout.page_start(page + 1);
+        let mut addr = log.tail();
+        while addr < end {
+            assert_eq!(log.word(addr).load(Ordering::Relaxed), 0, "{addr:#x}");
+            addr += 8;
+        }
+    }
+
+    #[test]
+    fn restore_at_leaves_frames_outside_the_tail_page_zero() {
+        let (log, _e, g) = wrapped_log(9);
+        assert!(log.frames.iter().any(|w| w.load(Ordering::Relaxed) != 0));
+        let tail = log.layout.page_start(40) + 3 * log.rec.record_size() as u64;
+        log.restore_at(tail);
+        let a = log.allocate(&g);
+        log.write_record(a, Header::new(0, 1), 7, &[7]);
+        let tail_frame = (log.layout.page(tail) as usize) & 3;
+        for (i, frame) in log.frames.chunks_exact(log.words_per_page).enumerate() {
+            if i != tail_frame {
+                assert!(
+                    frame.iter().all(|w| w.load(Ordering::Relaxed) == 0),
+                    "frame {i}"
+                );
+            }
+        }
+        // The tail page holds only the new record.
+        let rs = log.rec.record_size() as u64;
+        let nonzero: Vec<u64> = (log.layout.page_start(40)..log.layout.page_start(41))
+            .step_by(8)
+            .filter(|&w| log.word(w).load(Ordering::Relaxed) != 0)
+            .collect();
+        assert!(
+            nonzero.iter().all(|&w| (a..a + rs).contains(&w)),
+            "{nonzero:?}"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Instant;
 use cpr_core::liveness::{BusyState, Clock, SessionStatus};
 use cpr_core::{CheckpointVersion, Phase, Pod, SessionInfo};
 
-use crate::addr::{Address, INVALID_ADDRESS};
+use crate::addr::Address;
 use crate::header::{version13, Header};
 use crate::index::{key_hash, Slot};
 use crate::io::IoRead;
@@ -98,14 +98,23 @@ struct Pending<V> {
     latch: Option<usize>,
     /// Coarse grain: key registered in the pending-v-keys guard set.
     guarded: bool,
-    io: Option<IoRead>,
-    io_addr: Address,
+    io: Option<DiskRead>,
+}
+
+/// A device read issued while walking a hash chain that continues on
+/// disk.
+struct DiskRead {
+    /// First on-disk address of the chain when the walk began. While the
+    /// chain still enters the disk here, every record between it and the
+    /// fetched one was already checked: on-disk records are immutable.
+    entry: Address,
+    read: IoRead,
 }
 
 enum Outcome<V> {
     Done(Option<V>),
     /// Must wait; optionally with an I/O already issued.
-    Pend(Option<(Address, IoRead)>),
+    Pend(Option<DiskRead>),
     /// CPR shift detected in prepare: refresh and retry.
     Shift,
     /// Index CAS lost a race: retry immediately.
@@ -115,6 +124,17 @@ enum Outcome<V> {
 /// A client session. Not `Sync`: owned by one thread, as in the paper.
 pub struct FasterSession<V: Pod> {
     store: Arc<StoreInner<V>>,
+    st: SessionState<V>,
+    pub stats: SessionStats,
+}
+
+/// Everything a session owns besides its store handle, and the op engine.
+///
+/// Engine methods borrow the store as `&StoreInner` from the session's
+/// `Arc` (disjoint field borrows), so an operation never touches the
+/// `Arc`'s reference count — a cache line every session would otherwise
+/// write on every op.
+struct SessionState<V: Pod> {
     guard: cpr_epoch::Guard,
     slot_idx: usize,
     guid: u64,
@@ -135,7 +155,6 @@ pub struct FasterSession<V: Pod> {
     /// Test hook: runs right after the session enters an operation
     /// (busy = in-txn, before the op touches the log).
     pause_in_op: Option<Box<dyn FnMut() + Send>>,
-    pub stats: SessionStats,
 }
 
 impl<V: Pod> FasterSession<V> {
@@ -156,22 +175,24 @@ impl<V: Pod> FasterSession<V> {
         }
         FasterSession {
             store,
-            guard,
-            slot_idx,
-            guid,
-            phase,
-            version,
-            serial: start_serial,
-            ops_since_refresh: 0,
-            pending: Vec::new(),
-            completions: Vec::new(),
-            pending_points: VecDeque::new(),
-            durable_serial: start_serial,
-            scratch: Vec::new(),
-            scratch2: Vec::new(),
-            clock,
-            evicted: false,
-            pause_in_op: None,
+            st: SessionState {
+                guard,
+                slot_idx,
+                guid,
+                phase,
+                version,
+                serial: start_serial,
+                ops_since_refresh: 0,
+                pending: Vec::new(),
+                completions: Vec::new(),
+                pending_points: VecDeque::new(),
+                durable_serial: start_serial,
+                scratch: Vec::new(),
+                scratch2: Vec::new(),
+                clock,
+                evicted: false,
+                pause_in_op: None,
+            },
             stats: SessionStats::default(),
         }
     }
@@ -180,118 +201,192 @@ impl<V: Pod> FasterSession<V> {
     /// touched.
     #[doc(hidden)]
     pub fn set_pause_in_op(&mut self, f: impl FnMut() + Send + 'static) {
-        self.pause_in_op = Some(Box::new(f));
+        self.st.pause_in_op = Some(Box::new(f));
     }
 
     /// True once the watchdog has evicted this session.
     pub fn is_evicted(&self) -> bool {
-        self.evicted
-            || (self.clock.is_some()
-                && self.store.registry.status(self.slot_idx) == SessionStatus::Evicted)
+        self.st.evicted
+            || (self.st.clock.is_some()
+                && self.store.registry.status(self.st.slot_idx) == SessionStatus::Evicted)
     }
 
     pub fn guid(&self) -> u64 {
-        self.guid
+        self.st.guid
     }
 
     /// Serial of the most recently accepted operation.
     pub fn serial(&self) -> u64 {
-        self.serial
+        self.st.serial
     }
 
     /// Thread-local (phase, version) view.
     #[deprecated(since = "0.2.0", note = "use `info()` instead")]
     pub fn view(&self) -> (Phase, u64) {
-        (self.phase, self.version)
+        (self.st.phase, self.st.version)
     }
 
     /// Structured snapshot of the session's identity and thread-local
     /// CPR state.
     pub fn info(&self) -> SessionInfo {
         SessionInfo {
-            guid: self.guid,
-            serial: self.serial,
-            phase: self.phase,
-            version: CheckpointVersion::from(self.version),
+            guid: self.st.guid,
+            serial: self.st.serial,
+            phase: self.st.phase,
+            version: CheckpointVersion::from(self.st.version),
         }
     }
 
     /// Number of operations awaiting completion.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.st.pending.len()
     }
 
     /// Largest serial known durable: every op with serial ≤ this survives
     /// a crash (the session's committed CPR prefix).
     pub fn durable_serial(&mut self) -> u64 {
         let cv = self.store.committed_version.load(Ordering::Acquire);
-        while let Some(&(v, s)) = self.pending_points.front() {
+        let st = &mut self.st;
+        while let Some(&(v, s)) = st.pending_points.front() {
             if v <= cv {
-                self.durable_serial = self.durable_serial.max(s);
-                self.pending_points.pop_front();
+                st.durable_serial = st.durable_serial.max(s);
+                st.pending_points.pop_front();
             } else {
                 break;
             }
         }
-        self.durable_serial
+        st.durable_serial
     }
 
     /// Move completed formerly-pending results into `out`.
     pub fn drain_completions(&mut self, out: &mut Vec<Completion<V>>) {
-        out.append(&mut self.completions);
+        out.append(&mut self.st.completions);
     }
 
     /// Publish the local epoch, adopt global state changes (marking the
     /// CPR point on the prepare → in-progress crossing), and retry
     /// pending operations.
     pub fn refresh(&mut self) {
+        self.st.refresh(&self.store, &mut self.stats);
+    }
+
+    /// Retry pending operations; completed ones become
+    /// [`Completion`]s. Returns the number completed this call.
+    pub fn complete_pending(&mut self) -> usize {
+        self.st.complete_pending(&self.store, &mut self.stats)
+    }
+
+    // ---- public operations ------------------------------------------------
+
+    pub fn read(&mut self, key: u64) -> ReadResult<V> {
+        match self.op(OpKind::Read, key, None) {
+            Some(DriveResult::Done(Some(v))) => ReadResult::Found(v),
+            Some(DriveResult::Done(None)) => ReadResult::NotFound,
+            Some(DriveResult::Pending) => ReadResult::Pending,
+            None => ReadResult::Evicted,
+        }
+    }
+
+    pub fn upsert(&mut self, key: u64, value: V) -> Status {
+        self.update(OpKind::Upsert, key, Some(value))
+    }
+
+    /// Read-modify-write: `new = rmw(old, input)`; a missing key is
+    /// initialized to `input`.
+    pub fn rmw(&mut self, key: u64, input: V) -> Status {
+        self.update(OpKind::Rmw, key, Some(input))
+    }
+
+    pub fn delete(&mut self, key: u64) -> Status {
+        self.update(OpKind::Delete, key, None)
+    }
+
+    fn update(&mut self, kind: OpKind, key: u64, input: Option<V>) -> Status {
+        match self.op(kind, key, input) {
+            Some(DriveResult::Done(_)) => Status::Ok,
+            Some(DriveResult::Pending) => Status::Pending,
+            None => Status::Evicted,
+        }
+    }
+
+    /// Accept and run one user operation; `None` if the session has been
+    /// evicted. Completed ops contribute a latency sample, evicted ops
+    /// count as aborts, pendings are sampled at completion.
+    fn op(&mut self, kind: OpKind, key: u64, input: Option<V>) -> Option<DriveResult<V>> {
+        let store = &*self.store;
+        let st = &mut self.st;
+        st.maybe_refresh(store, &mut self.stats);
+        let t0 = store.metrics_on.then(Instant::now);
+        if !st.enter_op(store, &mut self.stats) {
+            if store.metrics_on {
+                store.metrics.record_abort();
+            }
+            return None;
+        }
+        st.serial += 1;
+        match kind {
+            OpKind::Read => self.stats.reads += 1,
+            OpKind::Upsert => self.stats.upserts += 1,
+            OpKind::Rmw => self.stats.rmws += 1,
+            OpKind::Delete => self.stats.deletes += 1,
+        }
+        let out = st.drive(store, &mut self.stats, kind, key, input);
+        if let (Some(t0), DriveResult::Done(_)) = (t0, &out) {
+            let (reads, writes) = if kind == OpKind::Read { (1, 0) } else { (0, 1) };
+            store.metrics.record_commit(t0.elapsed(), reads, writes);
+        }
+        st.exit_op(store);
+        Some(out)
+    }
+}
+
+impl<V: Pod> SessionState<V> {
+    fn refresh(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) {
         self.guard.refresh();
         self.ops_since_refresh = 0;
         if let Some(c) = &self.clock {
             // Lease renewal: one relaxed store (plus one relaxed probe of
             // the sticky eviction flag) — the whole hot-path liveness cost.
-            self.store.registry.heartbeat(self.slot_idx, c.now());
-            if self.evicted || self.store.registry.is_evicted(self.slot_idx) {
+            store.registry.heartbeat(self.slot_idx, c.now());
+            if self.evicted || store.registry.is_evicted(self.slot_idx) {
                 self.evicted = true;
-                self.drop_cancelled_pendings();
+                self.drop_cancelled_pendings(store);
                 return;
             }
         }
-        let (gp, gv) = self.store.state.load();
+        let (gp, gv) = store.state.load();
         if (gp, gv) != (self.phase, self.version) {
             // Entering prepare: protect pre-existing pending requests so
             // post-point writers cannot overtake them (paper Sec. 6.2.1).
             if gp == Phase::Prepare && gv == self.version && self.phase == Phase::Rest {
-                self.protect_pendings();
+                self.protect_pendings(store);
             }
             let crossed = self.phase <= Phase::Prepare
                 && ((gv == self.version && gp >= Phase::InProgress) || gv > self.version);
             if crossed {
-                let point = self.store.registry.mark_cpr_point(self.slot_idx);
+                let point = store.registry.mark_cpr_point(self.slot_idx);
                 self.pending_points.push_back((self.version, point));
             }
             self.phase = gp;
             self.version = gv;
-            self.store.registry.publish(self.slot_idx, gp, gv);
+            store.registry.publish(self.slot_idx, gp, gv);
         }
         if self.phase != Phase::Rest {
             // A commit is in flight: cede the CPU so the checkpoint and
             // device threads make progress even on a single core.
             std::thread::yield_now();
         }
-        self.complete_pending();
+        self.complete_pending(store, stats);
     }
 
-    /// Retry pending operations; completed ones become
-    /// [`Completion`]s. Returns the number completed this call.
-    pub fn complete_pending(&mut self) -> usize {
+    fn complete_pending(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) -> usize {
         if self.pending.is_empty() {
             return 0;
         }
         let live = self.clock.is_some();
-        if live && (self.evicted || self.store.registry.is_evicted(self.slot_idx)) {
+        if live && (self.evicted || store.registry.is_evicted(self.slot_idx)) {
             self.evicted = true;
-            self.drop_cancelled_pendings();
+            self.drop_cancelled_pendings(store);
             return 0;
         }
         let mut ops = std::mem::take(&mut self.pending);
@@ -301,54 +396,46 @@ impl<V: Pod> FasterSession<V> {
             // Pending retries apply writes: re-check ownership before each
             // one so an evicted session stops growing the database. A
             // merely-suspended session reactivates itself and proceeds.
-            if live && self.store.registry.status(self.slot_idx) != SessionStatus::Active {
-                if self.store.registry.await_reactivate(self.slot_idx) {
+            if live && store.registry.status(self.slot_idx) != SessionStatus::Active {
+                if store.registry.await_reactivate(self.slot_idx) {
                     continue;
                 }
                 self.evicted = true;
                 break;
             }
             let op = &mut ops[i];
-            let io_data: Option<(Address, Vec<u8>)> = match &op.io {
-                Some(io) if io.handle.is_done() => {
-                    if io.handle.wait().is_ok() {
-                        Some((op.io_addr, io.buf.lock().clone()))
-                    } else {
-                        // Read raced an in-flight flush; drop and retry
-                        // through the normal path.
-                        op.io = None;
-                        i += 1;
-                        continue;
-                    }
-                }
-                Some(_) => {
+            if let Some(d) = &op.io {
+                if !d.read.handle.is_done() {
                     i += 1;
                     continue; // still in flight
                 }
-                None => None,
-            };
+                if d.read.handle.wait().is_err() {
+                    // Read raced an in-flight flush; drop and retry
+                    // through the normal path.
+                    op.io = None;
+                    i += 1;
+                    continue;
+                }
+            }
+            // The I/O thread is done with the buffer: decode in place.
+            let fetched = op.io.as_ref().map(|d| (d, d.read.buf.lock()));
             let outcome = self.run_op(
+                store,
                 op.kind,
                 op.key,
                 op.input,
                 op.tag,
-                io_data.as_ref().map(|(a, b)| (*a, b.as_slice())),
+                fetched.as_ref().map(|(d, b)| (*d, b.as_slice())),
             );
-            let op = &mut ops[i];
+            drop(fetched);
             match outcome {
                 Outcome::Done(value) => {
-                    self.finish_pending(op, value);
+                    self.finish_pending(store, op, value);
                     completed += 1;
                     ops.swap_remove(i);
                 }
                 Outcome::Pend(io) => {
-                    match io {
-                        Some((addr, read)) => {
-                            op.io_addr = addr;
-                            op.io = Some(read);
-                        }
-                        None => op.io = None,
-                    }
+                    op.io = io;
                     i += 1;
                 }
                 Outcome::Shift | Outcome::Retry => {
@@ -361,20 +448,20 @@ impl<V: Pod> FasterSession<V> {
         debug_assert!(self.pending.is_empty());
         self.pending = ops;
         if self.evicted {
-            self.drop_cancelled_pendings();
+            self.drop_cancelled_pendings(store);
         }
-        self.stats.completed_pending += completed as u64;
+        stats.completed_pending += completed as u64;
         completed
     }
 
-    fn finish_pending(&mut self, op: &mut Pending<V>, value: Option<V>) {
+    fn finish_pending(&mut self, store: &StoreInner<V>, op: &mut Pending<V>, value: Option<V>) {
         if self.clock.is_some() {
             // The offline-pending entry is the ownership token for this
             // op's protections: remove it and release per the *entry* (the
             // watchdog may hold a fresher view of the latches than the
             // local op after an eviction race).
             let owned = {
-                let mut map = self.store.offline_pending.lock();
+                let mut map = store.offline_pending.lock();
                 map.get_mut(&self.slot_idx).and_then(|gs| {
                     gs.iter()
                         .position(|g| g.serial == op.serial)
@@ -390,21 +477,21 @@ impl<V: Pod> FasterSession<V> {
                 return;
             };
             if let Some(b) = g.latch {
-                self.store.latches[b].release_shared();
+                store.latches[b].release_shared();
             }
             if let Some(k) = g.guarded_key {
-                self.store.pending_v_keys.lock().remove(&k);
+                store.pending_v_keys.lock().remove(&k);
             }
-            self.store.pending_count[(g.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+            store.pending_count[(g.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
         } else {
             if let Some(b) = op.latch.take() {
-                self.store.latches[b].release_shared();
+                store.latches[b].release_shared();
             }
             if op.guarded {
-                self.store.pending_v_keys.lock().remove(&op.key);
+                store.pending_v_keys.lock().remove(&op.key);
                 op.guarded = false;
             }
-            self.store.pending_count[(op.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+            store.pending_count[(op.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
         }
         self.completions.push(Completion {
             serial: op.serial,
@@ -417,12 +504,12 @@ impl<V: Pod> FasterSession<V> {
     /// Drop local pending ops whose offline entry is gone (cancelled by
     /// the watchdog at eviction): their protections are already released
     /// and their counts already decremented — just forget them.
-    fn drop_cancelled_pendings(&mut self) {
+    fn drop_cancelled_pendings(&mut self, store: &StoreInner<V>) {
         if self.pending.is_empty() {
             return;
         }
         let live: Vec<u64> = {
-            let map = self.store.offline_pending.lock();
+            let map = store.offline_pending.lock();
             map.get(&self.slot_idx)
                 .map(|gs| gs.iter().map(|g| g.serial).collect())
                 .unwrap_or_default()
@@ -432,15 +519,15 @@ impl<V: Pod> FasterSession<V> {
 
     /// Fine grain: take shared latches (coarse: register key guards) for
     /// pending requests when entering prepare.
-    fn protect_pendings(&mut self) {
-        match self.store.grain {
+    fn protect_pendings(&mut self, store: &StoreInner<V>) {
+        match store.grain {
             VersionGrain::Fine => {
                 for op in &mut self.pending {
                     if op.tag == self.version && op.latch.is_none() {
-                        let b = self.store.index.bucket_index(key_hash(op.key));
+                        let b = store.index.bucket_index(key_hash(op.key));
                         // Cannot fail persistently: exclusive holders only
                         // exist in in-progress, which starts later.
-                        while !self.store.latches[b].try_shared() {
+                        while !store.latches[b].try_shared() {
                             std::hint::spin_loop();
                         }
                         op.latch = Some(b);
@@ -448,7 +535,7 @@ impl<V: Pod> FasterSession<V> {
                 }
             }
             VersionGrain::Coarse => {
-                let mut guard = self.store.pending_v_keys.lock();
+                let mut guard = store.pending_v_keys.lock();
                 for op in &mut self.pending {
                     if op.tag == self.version && !op.guarded {
                         guard.insert(op.key);
@@ -462,7 +549,7 @@ impl<V: Pod> FasterSession<V> {
             // cancellation releases them. The lease was stamped at the top
             // of this refresh, so the watchdog cannot act on this session
             // between the acquisition above and the mirror landing here.
-            let mut map = self.store.offline_pending.lock();
+            let mut map = store.offline_pending.lock();
             if let Some(gs) = map.get_mut(&self.slot_idx) {
                 for op in &self.pending {
                     if let Some(g) = gs.iter_mut().find(|g| g.serial == op.serial) {
@@ -480,9 +567,9 @@ impl<V: Pod> FasterSession<V> {
     /// be mid-append under the latch) — its only remedy is a checkpoint
     /// abort.
     #[inline]
-    fn set_busy_live(&self, b: BusyState) {
+    fn set_busy_live(&self, store: &StoreInner<V>, b: BusyState) {
         if self.clock.is_some() {
-            self.store.registry.set_busy(self.slot_idx, b);
+            store.registry.set_busy(self.slot_idx, b);
         }
     }
 
@@ -496,14 +583,12 @@ impl<V: Pod> FasterSession<V> {
     }
 
     #[inline]
-    fn maybe_refresh(&mut self) {
+    fn maybe_refresh(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) {
         self.ops_since_refresh += 1;
-        if self.ops_since_refresh >= self.store.refresh_every {
-            self.refresh();
+        if self.ops_since_refresh >= store.refresh_every {
+            self.refresh(store, stats);
         }
     }
-
-    // ---- public operations ------------------------------------------------
 
     /// Dekker-style entry protocol against the watchdog: publish
     /// `busy = InTxn` (SeqCst), then load status (SeqCst). If the status
@@ -511,18 +596,18 @@ impl<V: Pod> FasterSession<V> {
     /// before that read in the SeqCst total order, so no eviction (which
     /// requires a *prior* successful suspend plus a later scan) can be in
     /// flight — accepting the op is safe. Returns `false` once evicted.
-    fn begin_op(&mut self) -> bool {
+    fn begin_op(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) -> bool {
         loop {
             if self.evicted {
                 return false;
             }
-            self.store.registry.set_busy(self.slot_idx, BusyState::InTxn);
-            match self.store.registry.status(self.slot_idx) {
+            store.registry.set_busy(self.slot_idx, BusyState::InTxn);
+            match store.registry.status(self.slot_idx) {
                 SessionStatus::Active => return true,
                 _ => {
-                    self.store.registry.set_busy(self.slot_idx, BusyState::Idle);
-                    if self.store.registry.await_reactivate(self.slot_idx) {
-                        self.refresh();
+                    store.registry.set_busy(self.slot_idx, BusyState::Idle);
+                    if store.registry.await_reactivate(self.slot_idx) {
+                        self.refresh(store, stats);
                     } else {
                         self.evicted = true;
                     }
@@ -532,11 +617,11 @@ impl<V: Pod> FasterSession<V> {
     }
 
     #[inline]
-    fn enter_op(&mut self) -> bool {
+    fn enter_op(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) -> bool {
         if self.clock.is_none() {
             return true;
         }
-        if !self.begin_op() {
+        if !self.begin_op(store, stats) {
             return false;
         }
         if let Some(mut f) = self.pause_in_op.take() {
@@ -547,141 +632,54 @@ impl<V: Pod> FasterSession<V> {
     }
 
     #[inline]
-    fn exit_op(&mut self) {
+    fn exit_op(&mut self, store: &StoreInner<V>) {
         if self.clock.is_some() {
-            self.store.registry.set_busy(self.slot_idx, BusyState::Idle);
+            store.registry.set_busy(self.slot_idx, BusyState::Idle);
         }
-    }
-
-    /// Record op metrics: completed ops contribute a latency sample,
-    /// evicted ops count as aborts, pendings are sampled at completion.
-    #[inline]
-    fn record_op(&self, t0: Option<Instant>, reads: u64, writes: u64, done: bool) {
-        if let Some(t0) = t0 {
-            if done {
-                self.store.metrics.record_commit(t0.elapsed(), reads, writes);
-            }
-        }
-    }
-
-    pub fn read(&mut self, key: u64) -> ReadResult<V> {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return ReadResult::Evicted;
-        }
-        self.serial += 1;
-        self.stats.reads += 1;
-        let out = match self.drive(OpKind::Read, key, None) {
-            DriveResult::Done(Some(v)) => ReadResult::Found(v),
-            DriveResult::Done(None) => ReadResult::NotFound,
-            DriveResult::Pending => ReadResult::Pending,
-        };
-        self.record_op(t0, 1, 0, !matches!(out, ReadResult::Pending));
-        self.exit_op();
-        out
-    }
-
-    pub fn upsert(&mut self, key: u64, value: V) -> Status {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return Status::Evicted;
-        }
-        self.serial += 1;
-        self.stats.upserts += 1;
-        let out = match self.drive(OpKind::Upsert, key, Some(value)) {
-            DriveResult::Done(_) => Status::Ok,
-            DriveResult::Pending => Status::Pending,
-        };
-        self.record_op(t0, 0, 1, out == Status::Ok);
-        self.exit_op();
-        out
-    }
-
-    /// Read-modify-write: `new = rmw(old, input)`; a missing key is
-    /// initialized to `input`.
-    pub fn rmw(&mut self, key: u64, input: V) -> Status {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return Status::Evicted;
-        }
-        self.serial += 1;
-        self.stats.rmws += 1;
-        let out = match self.drive(OpKind::Rmw, key, Some(input)) {
-            DriveResult::Done(_) => Status::Ok,
-            DriveResult::Pending => Status::Pending,
-        };
-        self.record_op(t0, 0, 1, out == Status::Ok);
-        self.exit_op();
-        out
-    }
-
-    pub fn delete(&mut self, key: u64) -> Status {
-        self.maybe_refresh();
-        let t0 = self.store.metrics_on.then(Instant::now);
-        if !self.enter_op() {
-            if self.store.metrics_on {
-                self.store.metrics.record_abort();
-            }
-            return Status::Evicted;
-        }
-        self.serial += 1;
-        self.stats.deletes += 1;
-        let out = match self.drive(OpKind::Delete, key, None) {
-            DriveResult::Done(_) => Status::Ok,
-            DriveResult::Pending => Status::Pending,
-        };
-        self.record_op(t0, 0, 1, out == Status::Ok);
-        self.exit_op();
-        out
     }
 
     // ---- op driver ----------------------------------------------------------
 
-    fn drive(&mut self, kind: OpKind, key: u64, input: Option<V>) -> DriveResult<V> {
+    fn drive(
+        &mut self,
+        store: &StoreInner<V>,
+        stats: &mut SessionStats,
+        kind: OpKind,
+        key: u64,
+        input: Option<V>,
+    ) -> DriveResult<V> {
         loop {
             // Fine grain, prepare phase: every request takes the bucket's
             // shared latch (paper Alg. 4); failure means the CPR shift
             // has begun.
             let mut latch: Option<usize> = None;
-            if self.phase == Phase::Prepare && self.store.grain == VersionGrain::Fine {
-                let b = self.store.index.bucket_index(key_hash(key));
-                if !self.store.latches[b].try_shared() {
-                    self.refresh(); // CPR_SHIFT_DETECTED
+            if self.phase == Phase::Prepare && store.grain == VersionGrain::Fine {
+                let b = store.index.bucket_index(key_hash(key));
+                if !store.latches[b].try_shared() {
+                    self.refresh(store, stats); // CPR_SHIFT_DETECTED
                     continue;
                 }
                 latch = Some(b);
             }
             let tag = self.txn_version();
-            match self.run_op(kind, key, input, tag, None) {
+            match self.run_op(store, kind, key, input, tag, None) {
                 Outcome::Done(v) => {
                     if let Some(b) = latch {
-                        self.store.latches[b].release_shared();
+                        store.latches[b].release_shared();
                     }
-                    self.store.registry.set_serial(self.slot_idx, self.serial);
+                    store.registry.set_serial(self.slot_idx, self.serial);
                     return DriveResult::Done(v);
                 }
                 Outcome::Shift => {
                     if let Some(b) = latch {
-                        self.store.latches[b].release_shared();
+                        store.latches[b].release_shared();
                     }
-                    self.refresh();
+                    self.refresh(store, stats);
                     continue;
                 }
                 Outcome::Retry => {
                     if let Some(b) = latch {
-                        self.store.latches[b].release_shared();
+                        store.latches[b].release_shared();
                     }
                     continue;
                 }
@@ -690,18 +688,18 @@ impl<V: Pod> FasterSession<V> {
                     // latch (fine) or a key guard (coarse).
                     let keep_latch = latch.take_if(|_| tag == self.version);
                     if let Some(b) = latch {
-                        self.store.latches[b].release_shared();
+                        store.latches[b].release_shared();
                     }
-                    let guarded = self.store.grain == VersionGrain::Coarse
+                    let guarded = store.grain == VersionGrain::Coarse
                         && tag == self.version
                         && self.phase != Phase::Rest;
                     if guarded {
-                        self.store.pending_v_keys.lock().insert(key);
+                        store.pending_v_keys.lock().insert(key);
                     }
-                    self.store.pending_count[(tag & 1) as usize].fetch_add(1, Ordering::AcqRel);
+                    store.pending_count[(tag & 1) as usize].fetch_add(1, Ordering::AcqRel);
                     if self.clock.is_some() {
                         // Mirror the op's protections for the watchdog.
-                        self.store
+                        store
                             .offline_pending
                             .lock()
                             .entry(self.slot_idx)
@@ -713,10 +711,6 @@ impl<V: Pod> FasterSession<V> {
                                 guarded_key: guarded.then_some(key),
                             });
                     }
-                    let (io_addr, io) = match io {
-                        Some((a, r)) => (a, Some(r)),
-                        None => (INVALID_ADDRESS, None),
-                    };
                     self.pending.push(Pending {
                         serial: self.serial,
                         kind,
@@ -726,27 +720,26 @@ impl<V: Pod> FasterSession<V> {
                         latch: keep_latch,
                         guarded,
                         io,
-                        io_addr,
                     });
-                    self.stats.went_pending += 1;
-                    self.store.registry.set_serial(self.slot_idx, self.serial);
+                    stats.went_pending += 1;
+                    store.registry.set_serial(self.slot_idx, self.serial);
                     return DriveResult::Pending;
                 }
             }
         }
     }
 
-    /// One attempt at an operation. `io_data` carries a fetched disk
-    /// record (addr, bytes) when resolving an I/O pending op.
+    /// One attempt at an operation. `fetched` carries a completed disk
+    /// read and its bytes when resolving an I/O pending op.
     fn run_op(
         &mut self,
+        store: &StoreInner<V>,
         kind: OpKind,
         key: u64,
         input: Option<V>,
         tag: u64,
-        io_data: Option<(Address, &[u8])>,
+        fetched: Option<(&DiskRead, &[u8])>,
     ) -> Outcome<V> {
-        let store = Arc::clone(&self.store);
         let hl = &store.hlog;
         let hash = key_hash(key);
 
@@ -785,7 +778,7 @@ impl<V: Pod> FasterSession<V> {
                 OpKind::Read => Outcome::Done(None),
                 OpKind::Delete => Outcome::Done(None),
                 // Re-create over the tombstone.
-                _ => self.append_record(&slot, entry, key, kind, input, None, tag),
+                _ => self.append_record(store, &slot, entry, key, kind, input, None, tag),
             },
             Some((raddr, h)) => {
                 // Prepare-phase shift detection: a record already at
@@ -801,34 +794,41 @@ impl<V: Pod> FasterSession<V> {
                 if is_next && h.version != vnext13 {
                     // Post-point update over a pre-point record: hand the
                     // record over to version v+1 (Alg. 5).
-                    return self
-                        .handoff_update(&slot, entry, raddr, key, kind, input, tag, safe_ro);
+                    return self.handoff_update(
+                        store, &slot, entry, raddr, key, kind, input, tag, safe_ro,
+                    );
                 }
                 // Same-version regional logic.
                 if raddr >= ro {
-                    self.update_in_place(raddr, h, kind, input);
+                    self.update_in_place(store, raddr, h, kind, input);
                     Outcome::Done(None)
                 } else if raddr >= safe_ro {
                     Outcome::Pend(None) // fuzzy region (Sec. 5.1)
                 } else {
                     // Immutable (read-only region): read-copy-update.
-                    self.append_record(&slot, entry, key, kind, input, Some(raddr), tag)
+                    self.append_record(store, &slot, entry, key, kind, input, Some(raddr), tag)
                 }
             }
             None if addr >= hl.begin_address() => {
                 // Chain continues on disk at `addr`.
-                self.resolve_disk(&slot, entry, addr, key, kind, input, tag, io_data, safe_ro)
+                self.resolve_disk(store, &slot, entry, addr, key, kind, input, tag, fetched)
             }
             None => match kind {
                 OpKind::Read | OpKind::Delete => Outcome::Done(None),
-                _ => self.append_record(&slot, entry, key, kind, input, None, tag),
+                _ => self.append_record(store, &slot, entry, key, kind, input, None, tag),
             },
         }
     }
 
     /// In-place update in the mutable region.
-    fn update_in_place(&mut self, raddr: Address, h: Header, kind: OpKind, input: Option<V>) {
-        let store = &self.store;
+    fn update_in_place(
+        &mut self,
+        store: &StoreInner<V>,
+        raddr: Address,
+        h: Header,
+        kind: OpKind,
+        input: Option<V>,
+    ) {
         let hl = &store.hlog;
         match kind {
             OpKind::Upsert => {
@@ -864,7 +864,7 @@ impl<V: Pod> FasterSession<V> {
                 }
             }
             OpKind::Delete => {
-                store.hlog.set_header(raddr, h.with_tombstone());
+                hl.set_header(raddr, h.with_tombstone());
             }
             OpKind::Read => unreachable!("reads never update"),
         }
@@ -876,6 +876,7 @@ impl<V: Pod> FasterSession<V> {
     #[allow(clippy::too_many_arguments)]
     fn handoff_update(
         &mut self,
+        store: &StoreInner<V>,
         slot: &Slot<'_>,
         entry: Address,
         raddr: Address,
@@ -885,34 +886,50 @@ impl<V: Pod> FasterSession<V> {
         tag: u64,
         safe_ro: Address,
     ) -> Outcome<V> {
-        let store = Arc::clone(&self.store);
         match store.grain {
             VersionGrain::Fine => {
                 let b = store.index.bucket_index(key_hash(key));
                 match self.phase {
                     Phase::InProgress => {
-                        self.set_busy_live(BusyState::Locking);
+                        self.set_busy_live(store, BusyState::Locking);
                         let out = if store.latches[b].try_exclusive() {
-                            let out =
-                                self.append_record(slot, entry, key, kind, input, Some(raddr), tag);
+                            let out = self.append_record(
+                                store,
+                                slot,
+                                entry,
+                                key,
+                                kind,
+                                input,
+                                Some(raddr),
+                                tag,
+                            );
                             store.latches[b].release_exclusive();
                             out
                         } else {
                             Outcome::Pend(None)
                         };
-                        self.set_busy_live(BusyState::InTxn);
+                        self.set_busy_live(store, BusyState::InTxn);
                         out
                     }
                     Phase::WaitPending => {
                         if store.latches[b].shared_count() == 0 {
-                            self.append_record(slot, entry, key, kind, input, Some(raddr), tag)
+                            self.append_record(
+                                store,
+                                slot,
+                                entry,
+                                key,
+                                kind,
+                                input,
+                                Some(raddr),
+                                tag,
+                            )
                         } else {
                             Outcome::Pend(None)
                         }
                     }
                     // Wait-flush (and the rest-phase tail of a commit):
                     // all pre-point work is done; copy freely.
-                    _ => self.append_record(slot, entry, key, kind, input, Some(raddr), tag),
+                    _ => self.append_record(store, slot, entry, key, kind, input, Some(raddr), tag),
                 }
             }
             VersionGrain::Coarse => {
@@ -920,7 +937,7 @@ impl<V: Pod> FasterSession<V> {
                     return Outcome::Pend(None);
                 }
                 if raddr < safe_ro || self.phase >= Phase::WaitPending {
-                    self.append_record(slot, entry, key, kind, input, Some(raddr), tag)
+                    self.append_record(store, slot, entry, key, kind, input, Some(raddr), tag)
                 } else {
                     // The pre-point record is still mutable: wait until it
                     // is safely immutable (Appx. C).
@@ -930,10 +947,18 @@ impl<V: Pod> FasterSession<V> {
         }
     }
 
-    /// Resolve an operation whose chain continues on disk.
+    /// Resolve an operation whose chain continues on disk at `disk_addr`.
+    ///
+    /// A fetched record deeper than `disk_addr` is accepted only while the
+    /// chain still enters the disk where the fetch's walk began: the
+    /// records between were checked by earlier fetches and cannot have
+    /// changed. If the entry point moved (newer records of this chain were
+    /// evicted meanwhile) the walk restarts there, since one of them may
+    /// hold a newer version of the key.
     #[allow(clippy::too_many_arguments)]
     fn resolve_disk(
         &mut self,
+        store: &StoreInner<V>,
         slot: &Slot<'_>,
         entry: Address,
         disk_addr: Address,
@@ -941,74 +966,55 @@ impl<V: Pod> FasterSession<V> {
         kind: OpKind,
         input: Option<V>,
         tag: u64,
-        io_data: Option<(Address, &[u8])>,
-        safe_ro: Address,
+        fetched: Option<(&DiskRead, &[u8])>,
     ) -> Outcome<V> {
-        let store = Arc::clone(&self.store);
         let hl = &store.hlog;
         let rec_size = hl.rec.record_size();
 
-        if let Some((fetched_addr, bytes)) = io_data {
-            if fetched_addr == disk_addr && bytes.len() >= rec_size {
-                let h = Header::unpack(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
-                let rkey = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-                if !h.invalid && rkey == key {
-                    if h.tombstone {
-                        return match kind {
-                            OpKind::Read | OpKind::Delete => Outcome::Done(None),
-                            _ => self.append_record(slot, entry, key, kind, input, None, tag),
-                        };
-                    }
-                    let mut words = vec![0u64; store.value_words];
-                    for (i, w) in words.iter_mut().enumerate() {
-                        *w = u64::from_le_bytes(bytes[16 + 8 * i..24 + 8 * i].try_into().unwrap());
-                    }
-                    let value: V = value_from_words(&words);
-                    return match kind {
-                        OpKind::Read => Outcome::Done(Some(value)),
-                        OpKind::Delete => self.append_with_base(
-                            slot,
-                            entry,
-                            key,
-                            kind,
-                            input,
-                            Some(value),
-                            tag,
-                            safe_ro,
-                        ),
-                        OpKind::Upsert | OpKind::Rmw => self.append_with_base(
-                            slot,
-                            entry,
-                            key,
-                            kind,
-                            input,
-                            Some(value),
-                            tag,
-                            safe_ro,
-                        ),
-                    };
-                }
-                // Wrong key (hash-chain collision) or invalid: follow the
-                // chain further down the log.
-                if !h.invalid && h.prev >= hl.begin_address() {
-                    return self.issue_or_wait(h.prev);
-                }
-                // Chain exhausted: key absent.
+        let Some((_, bytes)) = fetched.filter(|(r, b)| r.entry == disk_addr && b.len() >= rec_size)
+        else {
+            return self.issue_or_wait(store, disk_addr, disk_addr);
+        };
+        let h = Header::unpack(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
+        let rkey = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        if !h.invalid && rkey == key {
+            if h.tombstone {
                 return match kind {
                     OpKind::Read | OpKind::Delete => Outcome::Done(None),
-                    _ => self.append_record(slot, entry, key, kind, input, None, tag),
+                    _ => self.append_record(store, slot, entry, key, kind, input, None, tag),
                 };
             }
-            // Stale fetch (chain shape changed): fall through and re-issue.
+            self.scratch.clear();
+            self.scratch.extend(
+                bytes[16..16 + 8 * store.value_words]
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().unwrap())),
+            );
+            let value: V = value_from_words(&self.scratch);
+            return match kind {
+                OpKind::Read => Outcome::Done(Some(value)),
+                _ => self.append_with_base(store, slot, entry, key, kind, input, Some(value), tag),
+            };
         }
-        self.issue_or_wait(disk_addr)
+        // Wrong key (hash-chain collision) or invalid: follow the chain
+        // further down the log, as the in-memory walk does, keeping the
+        // walk's entry point.
+        if h.prev >= hl.begin_address() {
+            return self.issue_or_wait(store, disk_addr, h.prev);
+        }
+        // Chain exhausted: key absent.
+        match kind {
+            OpKind::Read | OpKind::Delete => Outcome::Done(None),
+            _ => self.append_record(store, slot, entry, key, kind, input, None, tag),
+        }
     }
 
-    fn issue_or_wait(&mut self, addr: Address) -> Outcome<V> {
-        let hl = &self.store.hlog;
+    /// Fetch the record at `addr` of a disk walk that began at `entry`.
+    fn issue_or_wait(&self, store: &StoreInner<V>, entry: Address, addr: Address) -> Outcome<V> {
+        let hl = &store.hlog;
         if addr < hl.flushed_durable() {
-            let read = self.store.io.read(addr, hl.rec.record_size());
-            Outcome::Pend(Some((addr, read)))
+            let read = store.io.read(addr, hl.rec.record_size());
+            Outcome::Pend(Some(DiskRead { entry, read }))
         } else {
             // Flush still in flight; retry on a later refresh.
             Outcome::Pend(None)
@@ -1016,10 +1022,12 @@ impl<V: Pod> FasterSession<V> {
     }
 
     /// RCU / insert with a disk-fetched base value: still subject to the
-    /// hand-off rules when the op is post-point.
+    /// hand-off rules when the op is post-point. Disk records are
+    /// immutable by definition, so no fuzzy-region wait applies.
     #[allow(clippy::too_many_arguments)]
     fn append_with_base(
         &mut self,
+        store: &StoreInner<V>,
         slot: &Slot<'_>,
         entry: Address,
         key: u64,
@@ -1027,9 +1035,7 @@ impl<V: Pod> FasterSession<V> {
         input: Option<V>,
         base: Option<V>,
         tag: u64,
-        safe_ro: Address,
     ) -> Outcome<V> {
-        let store = Arc::clone(&self.store);
         if tag > self.version {
             // Post-point op resolving a disk record: respect the same
             // protections as an in-memory hand-off.
@@ -1037,16 +1043,16 @@ impl<V: Pod> FasterSession<V> {
                 VersionGrain::Fine => {
                     let b = store.index.bucket_index(key_hash(key));
                     if self.phase == Phase::InProgress {
-                        self.set_busy_live(BusyState::Locking);
+                        self.set_busy_live(store, BusyState::Locking);
                         let out = if store.latches[b].try_exclusive() {
-                            let out =
-                                self.append_base_inner(slot, entry, key, kind, input, base, tag);
+                            let out = self
+                                .append_base_inner(store, slot, entry, key, kind, input, base, tag);
                             store.latches[b].release_exclusive();
                             out
                         } else {
                             Outcome::Pend(None)
                         };
-                        self.set_busy_live(BusyState::InTxn);
+                        self.set_busy_live(store, BusyState::InTxn);
                         return out;
                     }
                     if self.phase == Phase::WaitPending && store.latches[b].shared_count() != 0 {
@@ -1057,16 +1063,16 @@ impl<V: Pod> FasterSession<V> {
                     if store.pending_v_keys.lock().contains(&key) {
                         return Outcome::Pend(None);
                     }
-                    let _ = safe_ro; // disk records are immutable by definition
                 }
             }
         }
-        self.append_base_inner(slot, entry, key, kind, input, base, tag)
+        self.append_base_inner(store, slot, entry, key, kind, input, base, tag)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn append_base_inner(
         &mut self,
+        store: &StoreInner<V>,
         slot: &Slot<'_>,
         entry: Address,
         key: u64,
@@ -1075,7 +1081,6 @@ impl<V: Pod> FasterSession<V> {
         base: Option<V>,
         tag: u64,
     ) -> Outcome<V> {
-        let store = Arc::clone(&self.store);
         let value = match (kind, base) {
             (OpKind::Upsert, _) => input.expect("upsert input"),
             (OpKind::Rmw, Some(b)) => (store.rmw)(b, input.expect("rmw input")),
@@ -1106,6 +1111,7 @@ impl<V: Pod> FasterSession<V> {
     #[allow(clippy::too_many_arguments)]
     fn append_record(
         &mut self,
+        store: &StoreInner<V>,
         slot: &Slot<'_>,
         entry: Address,
         key: u64,
@@ -1115,11 +1121,11 @@ impl<V: Pod> FasterSession<V> {
         tag: u64,
     ) -> Outcome<V> {
         let base = src.map(|raddr| {
-            self.scratch2.resize(self.store.value_words, 0);
-            self.store.hlog.value_at(raddr, &mut self.scratch2);
+            self.scratch2.resize(store.value_words, 0);
+            store.hlog.value_at(raddr, &mut self.scratch2);
             value_from_words::<V>(&self.scratch2)
         });
-        self.append_base_inner(slot, entry, key, kind, input, base, tag)
+        self.append_base_inner(store, slot, entry, key, kind, input, base, tag)
     }
 }
 
@@ -1134,56 +1140,56 @@ impl<V: Pod> Drop for FasterSession<V> {
         // evicted session skips the drain: its pendings were cancelled by
         // the watchdog and `refresh` clears them on the first pass.
         for _ in 0..10_000 {
-            if self.pending.is_empty() || self.evicted {
+            if self.st.pending.is_empty() || self.st.evicted {
                 break;
             }
             self.refresh();
-            if !self.pending.is_empty() {
+            if !self.st.pending.is_empty() {
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }
         }
+        let store = &*self.store;
+        let st = &mut self.st;
         // Force-release anything still stuck (abandoned ops). With the
         // watchdog on, the offline map arbitrates: only protections whose
         // entry is still present are ours to release.
-        let ops = std::mem::take(&mut self.pending);
-        if self.clock.is_some() {
-            let entries = self.store.offline_pending.lock().remove(&self.slot_idx);
+        let ops = std::mem::take(&mut st.pending);
+        if st.clock.is_some() {
+            let entries = store.offline_pending.lock().remove(&st.slot_idx);
             for g in entries.unwrap_or_default() {
                 if let Some(b) = g.latch {
-                    self.store.latches[b].release_shared();
+                    store.latches[b].release_shared();
                 }
                 if let Some(k) = g.guarded_key {
-                    self.store.pending_v_keys.lock().remove(&k);
+                    store.pending_v_keys.lock().remove(&k);
                 }
-                self.store.pending_count[(g.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+                store.pending_count[(g.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
             }
         } else {
             for op in ops {
                 if let Some(b) = op.latch {
-                    self.store.latches[b].release_shared();
+                    store.latches[b].release_shared();
                 }
                 if op.guarded {
-                    self.store.pending_v_keys.lock().remove(&op.key);
+                    store.pending_v_keys.lock().remove(&op.key);
                 }
-                self.store.pending_count[(op.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+                store.pending_count[(op.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
             }
         }
         // Deposit this session's commit points before freeing the slot:
         // once the slot is released the registry forgets the guid, but a
         // later checkpoint (or a reconnecting client) still needs them.
-        if self.evicted || self.store.registry.is_evicted(self.slot_idx) {
+        if st.evicted || store.registry.is_evicted(st.slot_idx) {
             // Eviction cancelled every op after the rolled-back point; the
             // pre-eviction serial must never be reported.
-            let point = self.store.registry.cpr_point(self.slot_idx);
-            self.store
-                .detached
-                .record_evicted(self.guid, self.version, point);
+            let point = store.registry.cpr_point(st.slot_idx);
+            store.detached.record_evicted(st.guid, st.version, point);
         } else {
-            let points: Vec<(u64, u64)> = self.pending_points.iter().copied().collect();
-            self.store
+            let points: Vec<(u64, u64)> = st.pending_points.iter().copied().collect();
+            store
                 .detached
-                .record(self.guid, points, (self.txn_version(), self.serial));
+                .record(st.guid, points, (st.txn_version(), st.serial));
         }
-        self.store.registry.release(self.slot_idx);
+        store.registry.release(st.slot_idx);
     }
 }

@@ -298,6 +298,9 @@ pub(crate) struct CkptCtx {
     pub variant: CheckpointVariant,
     pub log_only: bool,
     pub lhs: u64,
+    /// Log-only fold-over: the log end (`L_he`) fixed, and the read-only
+    /// shift to it started, at the wait-pending → wait-flush transition.
+    pub fold_end: Option<u64>,
     pub started: Instant,
     pub phase_marks: Vec<(Phase, Duration)>,
 }
@@ -782,6 +785,7 @@ pub(crate) fn start_checkpoint<V: Pod>(
         variant,
         log_only,
         lhs: inner.hlog.tail(),
+        fold_end: None,
         started: Instant::now(),
         phase_marks: vec![(Phase::Prepare, Duration::ZERO)],
     });
@@ -877,6 +881,21 @@ fn waitpending_to_waitflush<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
         return; // aborted by the watchdog
     }
     mark_phase(&inner, Phase::WaitFlush);
+    // Every version-v record exists now. A log-only fold-over captures
+    // nothing before its log flush, so start the read-only shift here, on
+    // the refreshing session's thread: the flush then needs one more
+    // refresh per session, whenever the checkpoint thread gets to run. (A
+    // full commit must dump the index first; its shift stays there.)
+    let fold_end = inner.ckpt.lock().as_mut().and_then(|ctx| {
+        (ctx.variant == CheckpointVariant::FoldOver && ctx.log_only).then(|| {
+            let end = inner.hlog.tail();
+            ctx.fold_end = Some(end);
+            end
+        })
+    });
+    if let Some(end) = fold_end {
+        inner.hlog.shift_read_only_to(end);
+    }
     if let Some(tx) = inner.ckpt_tx.lock().as_ref() {
         tx.send(v).expect("checkpoint thread alive");
     }

@@ -1,7 +1,12 @@
 //! Operational tests for the FASTER store: regional behaviour, pending
 //! I/O for disk-resident records, deletes, sessions.
 
-use cpr_faster::{FasterBuilder, HlogConfig, OpKind, ReadResult, Status};
+use std::time::{Duration, Instant};
+
+use cpr_faster::{
+    CheckpointVariant, FasterBuilder, FasterKv, FasterSession, HlogConfig, OpKind, ReadResult,
+    Status,
+};
 
 fn small_opts(dir: &std::path::Path) -> FasterBuilder<u64> {
     FasterBuilder::u64_sums(dir).hlog(HlogConfig {
@@ -238,4 +243,154 @@ fn concurrent_rmw_sums_are_exact() {
         }
     }
     assert_eq!(total, THREADS * INCR, "lost or duplicated increments");
+}
+
+/// Two keys that share a bucket and a 14-bit tag in the default
+/// 4096-bucket index, so both hang off one index slot.
+const SLOT_MATES: (u64, u64) = (1_001_859, 1_003_366);
+
+/// Upsert `SLOT_MATES.0`, then `SLOT_MATES.1`, then enough filler to push
+/// both to disk: the slot's chain then starts on disk at the second key's
+/// record, and the first key's record lies one hop further down.
+fn slot_mates_on_disk(s: &mut FasterSession<u64>, kv: &FasterKv<u64>) {
+    let (first, second) = SLOT_MATES;
+    assert_eq!(s.upsert(first, 11), Status::Ok);
+    assert_eq!(s.upsert(second, 22), Status::Ok);
+    for k in 0..10_000u64 {
+        s.upsert(k, k);
+    }
+    s.refresh();
+    assert!(kv.hlog().head() > 0, "eviction should have happened");
+}
+
+/// Refresh until a pending op of `kind` on `key` completes or `deadline`
+/// passes; returns its completion value. Filler upserts can also complete
+/// through the pending path, so completions are matched by key.
+fn await_completion(
+    s: &mut FasterSession<u64>,
+    kind: OpKind,
+    key: u64,
+    deadline: Instant,
+) -> Option<Option<u64>> {
+    let mut out = Vec::new();
+    while Instant::now() < deadline {
+        s.refresh();
+        s.drain_completions(&mut out);
+        if let Some(c) = out.iter().find(|c| c.kind == kind && c.key == key) {
+            return Some(c.value);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    None
+}
+
+#[test]
+fn cold_read_past_another_keys_disk_record_completes() {
+    let dir = tempfile::tempdir().unwrap();
+    let kv = small_opts(dir.path()).open().unwrap();
+    let mut s = kv.start_session(1);
+    slot_mates_on_disk(&mut s, &kv);
+    let (first, second) = SLOT_MATES;
+    let deadline = || Instant::now() + Duration::from_secs(3);
+
+    assert_eq!(s.read(first), ReadResult::Pending, "record must be on disk");
+    let got = await_completion(&mut s, OpKind::Read, first, deadline());
+    assert_eq!(got, Some(Some(11)), "cold read stuck or wrong");
+
+    // An RMW resolving the same deeper record must apply exactly once.
+    assert_eq!(s.rmw(first, 5), Status::Pending);
+    assert!(
+        await_completion(&mut s, OpKind::Rmw, first, deadline()).is_some(),
+        "cold rmw stuck"
+    );
+    assert_eq!(s.read(first), ReadResult::Found(16));
+    // The slot mate's record, first on disk, still reads back.
+    let got = match s.read(second) {
+        ReadResult::Found(v) => Some(Some(v)),
+        ReadResult::Pending => await_completion(&mut s, OpKind::Read, second, deadline()),
+        other => panic!("slot mate: {other:?}"),
+    };
+    assert_eq!(got, Some(Some(22)));
+}
+
+#[test]
+fn checkpoint_completes_while_cold_read_is_pending() {
+    let dir = tempfile::tempdir().unwrap();
+    let kv = small_opts(dir.path()).open().unwrap();
+    let mut s = kv.start_session(1);
+    slot_mates_on_disk(&mut s, &kv);
+    let (first, _) = SLOT_MATES;
+
+    assert_eq!(s.read(first), ReadResult::Pending, "record must be on disk");
+    assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, false));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while kv.committed_version() < 1 && Instant::now() < deadline {
+        s.refresh();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        kv.committed_version() >= 1,
+        "checkpoint stuck behind a pending cold read (phase {:?})",
+        kv.state()
+    );
+}
+
+#[test]
+fn cold_rmw_restarts_when_newer_records_are_evicted_meanwhile() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let dir = tempfile::tempdir().unwrap();
+    // No automatic refresh: the pending RMW is retried only when the
+    // test says so.
+    let kv = small_opts(dir.path())
+        .refresh_every(u64::MAX)
+        .open()
+        .unwrap();
+    let mut s = kv.start_session(1);
+    slot_mates_on_disk(&mut s, &kv);
+    let (first, _) = SLOT_MATES;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while s.pending_len() > 0 && Instant::now() < deadline {
+        s.refresh();
+    }
+    assert_eq!(s.rmw(first, 5), Status::Pending, "record must be on disk");
+
+    // Another session upserts a newer record of the key while this one
+    // keeps appending (which keeps its epoch moving) but never retries
+    // the RMW; the appends then push the newer record to disk as well.
+    let upserted = AtomicBool::new(false);
+    let mut filler = 20_000u64;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut b = kv.start_session(2);
+            let _ = b.upsert(first, 100);
+            while b.pending_len() > 0 && Instant::now() < deadline {
+                b.refresh();
+            }
+            upserted.store(true, Ordering::SeqCst);
+        });
+        while !upserted.load(Ordering::SeqCst) {
+            s.upsert(filler, filler);
+            filler += 1;
+            // Leave the CPU to the other session and the I/O threads.
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    });
+    for _ in 0..10_000 {
+        s.upsert(filler, filler);
+        filler += 1;
+    }
+
+    assert!(
+        await_completion(&mut s, OpKind::Rmw, first, deadline).is_some(),
+        "cold rmw stuck"
+    );
+    // The chain now enters the disk above the RMW's first fetch: the RMW
+    // must restart there and build on the upsert, not on the older record.
+    let got = match s.read(first) {
+        ReadResult::Found(v) => Some(Some(v)),
+        ReadResult::Pending => await_completion(&mut s, OpKind::Read, first, deadline),
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(got, Some(Some(105)));
 }
