@@ -4,6 +4,10 @@
 //! Runs on a dedicated checkpoint thread so user sessions never block:
 //! they keep processing version-`v + 1` requests while the version-`v`
 //! state is written out.
+//!
+//! After a commit is published, the checkpoints it superseded are
+//! deleted (see `drop_superseded`), so the checkpoint directory holds
+//! what recovery can use, not one directory per commit ever made.
 
 use std::collections::HashMap;
 use std::io;
@@ -56,7 +60,7 @@ pub(crate) fn run_wait_flush<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) {
             out.evicted.len() as u64,
         );
     }
-    if let Some(manifest) = committed {
+    if let Some(manifest) = &committed {
         // The manifest's points are now the durable baseline; detached
         // entries it subsumes can be dropped.
         {
@@ -74,8 +78,35 @@ pub(crate) fn run_wait_flush<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) {
         }
         inner.committed_version.store(v, Ordering::Release);
     }
-    let _g = inner.commit_lock.lock();
-    inner.commit_cv.notify_all();
+    {
+        let _g = inner.commit_lock.lock();
+        inner.commit_cv.notify_all();
+    }
+    if let Some(manifest) = committed {
+        drop_superseded(inner, &manifest);
+    }
+}
+
+/// Delete the checkpoints that commit `m` superseded. Recovery reads only
+/// the newest log checkpoint and the newest index checkpoint at or before
+/// it (`recovery::recover`), so every older directory goes except that
+/// index checkpoint. Best effort: a failure leaves the directories for
+/// the next commit's pass, and a crash mid-delete leaves a directory
+/// without its manifest, which recovery ignores.
+fn drop_superseded<V: Pod>(inner: &StoreInner<V>, m: &CheckpointManifest) {
+    let keep = if m.index_begin.is_some() {
+        None
+    } else {
+        match inner
+            .store
+            .latest_matching(|o| o.token < m.token && o.index_begin.is_some())
+        {
+            Ok(found) => found.map(|o| o.token),
+            // Not knowing which index recovery needs, delete nothing.
+            Err(_) => return,
+        }
+    };
+    let _ = inner.store.remove_older(m.token, keep);
 }
 
 /// The fallible body of the wait-flush phase. Returns the committed

@@ -81,7 +81,7 @@ impl HlogConfig {
 }
 
 /// One zeroed allocation of `words` atomic words.
-fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
+pub(crate) fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
     let arena = Box::<[AtomicU64]>::new_zeroed_slice(words);
     // SAFETY: `AtomicU64` has the same in-memory representation as `u64`,
     // for which the all-zero bit pattern is a valid value.
@@ -245,6 +245,26 @@ impl HybridLog {
         let frame = (page as usize) & (self.cfg.memory_pages - 1);
         let off = (self.layout.offset(addr) / 8) as usize;
         &self.frames[frame * self.words_per_page + off]
+    }
+
+    /// Hint the CPU to load the cache lines of the record at `addr`.
+    ///
+    /// Reads nothing and needs no epoch protection: the frame is found by
+    /// masking, so any `addr` (even one evicted meanwhile) names memory
+    /// inside the arena, and the op that follows reads the record again.
+    #[inline]
+    pub fn prefetch(&self, addr: Address) {
+        let page = self.layout.page(addr);
+        let frame = (page as usize) & (self.cfg.memory_pages - 1);
+        let first = frame * self.words_per_page + (self.layout.offset(addr) / 8) as usize;
+        let last = first + self.rec.record_size() / 8 - 1;
+        if let (Some(a), Some(b)) = (self.frames.get(first), self.frames.get(last)) {
+            let (a, b) = (a as *const AtomicU64, b as *const AtomicU64);
+            crate::prefetch::line(a);
+            if (a as usize) >> 6 != (b as usize) >> 6 {
+                crate::prefetch::line(b);
+            }
+        }
     }
 
     /// Allocate one record slot at the tail; returns its address.

@@ -9,6 +9,11 @@
 //! The index is always physically consistent (entries change only by CAS),
 //! so a *fuzzy checkpoint* is just an atomic-read dump of the arrays
 //! (paper Sec. 6.3).
+//!
+//! Main and overflow buckets share one zeroed allocation, as the
+//! HybridLog's frames do: the OS commits its pages on first touch, so
+//! opening or recovering a store does not pay for the (mostly unused)
+//! overflow pool or for buckets no key has reached yet.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -22,18 +27,50 @@ const TENTATIVE_BIT: u64 = 1 << 62;
 
 /// 64-byte hash bucket: 7 entries + 1 overflow pointer (index+1 into the
 /// overflow pool; 0 = none).
-#[repr(align(64))]
+#[repr(C, align(64))]
 pub struct Bucket {
     entries: [AtomicU64; ENTRIES_PER_BUCKET],
     overflow: AtomicU64,
 }
 
-impl Bucket {
-    fn new() -> Self {
-        Bucket {
-            entries: Default::default(),
-            overflow: AtomicU64::new(0),
-        }
+const BUCKET_WORDS: usize = ENTRIES_PER_BUCKET + 1;
+const _: () = assert!(std::mem::size_of::<Bucket>() == BUCKET_WORDS * 8);
+
+/// A zeroed array of buckets carved out of one word allocation.
+///
+/// `Box<[Bucket]>` cannot be allocated lazily: a 64-byte alignment takes
+/// the allocator's aligned path, which writes every page. A word-aligned
+/// zeroed allocation is a fresh anonymous mapping instead, and the
+/// buckets start at its first 64-byte boundary.
+struct BucketArena {
+    words: Box<[AtomicU64]>,
+    /// Words skipped to reach the first 64-byte boundary.
+    skip: usize,
+    len: usize,
+}
+
+impl BucketArena {
+    fn zeroed(len: usize) -> Self {
+        let words = crate::hlog::zeroed_words(len * BUCKET_WORDS + BUCKET_WORDS - 1);
+        let skip = words.as_ptr().align_offset(std::mem::align_of::<Bucket>());
+        assert!(
+            skip < BUCKET_WORDS,
+            "no bucket boundary in the first bucket's words"
+        );
+        BucketArena { words, skip, len }
+    }
+
+    #[inline]
+    fn buckets(&self) -> &[Bucket] {
+        let words = &self.words[self.skip..self.skip + self.len * BUCKET_WORDS];
+        // SAFETY: `words` starts on a 64-byte boundary (`skip`) and holds
+        // exactly `len` buckets' worth of words, all inside the
+        // allocation. `Bucket` is `repr(C)`, made only of `AtomicU64`s
+        // with no padding (size asserted above), so each bucket overlays
+        // eight of those words, and the all-zero pattern (an empty
+        // bucket) is valid. The words are only ever accessed atomically,
+        // through this view, and the borrow ties the view to `self`.
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<Bucket>(), self.len) }
     }
 }
 
@@ -100,9 +137,9 @@ impl Slot<'_> {
 
 /// The latch-free hash index.
 pub struct HashIndex {
-    buckets: Box<[Bucket]>,
+    /// `mask + 1` main buckets followed by the overflow pool.
+    arena: BucketArena,
     mask: u64,
-    overflow: Box<[Bucket]>,
     overflow_next: AtomicUsize,
 }
 
@@ -111,25 +148,37 @@ impl HashIndex {
     /// up to a power of two). Overflow capacity is proportional.
     pub fn new(bucket_hint: usize) -> Self {
         let n = bucket_hint.next_power_of_two().max(64);
-        let buckets = (0..n).map(|_| Bucket::new()).collect::<Vec<_>>().into();
         // Generous: the index is normally sized at #keys/2 buckets so
         // chains are short, but undersized indexes (tests, skewed loads)
-        // must keep working.
+        // must keep working. Untouched overflow buckets cost no memory.
         let overflow_cap = (n * 4).max(256);
-        let overflow = (0..overflow_cap)
-            .map(|_| Bucket::new())
-            .collect::<Vec<_>>()
-            .into();
         HashIndex {
-            buckets,
+            arena: BucketArena::zeroed(n + overflow_cap),
             mask: (n - 1) as u64,
-            overflow,
             overflow_next: AtomicUsize::new(0),
         }
     }
 
+    #[inline]
+    fn main(&self) -> &[Bucket] {
+        &self.arena.buckets()[..=self.mask as usize]
+    }
+
+    #[inline]
+    fn overflow(&self) -> &[Bucket] {
+        &self.arena.buckets()[self.mask as usize + 1..]
+    }
+
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.mask as usize + 1
+    }
+
+    /// Hint the CPU to start loading the main bucket of `hash`. Reads
+    /// nothing and changes nothing; a later [`HashIndex::find`] reads the
+    /// bucket again.
+    #[inline]
+    pub fn prefetch(&self, hash: u64) {
+        crate::prefetch::line(&self.main()[(hash & self.mask) as usize]);
     }
 
     /// Main-bucket index for a key hash — used to key the per-bucket
@@ -140,7 +189,7 @@ impl HashIndex {
     }
 
     fn bucket_chain(&self, hash: u64) -> impl Iterator<Item = &Bucket> {
-        let first = &self.buckets[(hash & self.mask) as usize];
+        let first = &self.main()[(hash & self.mask) as usize];
         BucketChain {
             index: self,
             cur: Some(first),
@@ -233,9 +282,9 @@ impl HashIndex {
         }
         let idx = self.overflow_next.fetch_add(1, Ordering::AcqRel);
         assert!(
-            idx < self.overflow.len(),
+            idx < self.overflow().len(),
             "hash index overflow pool exhausted ({} buckets)",
-            self.overflow.len()
+            self.overflow().len()
         );
         if bucket
             .overflow
@@ -257,14 +306,10 @@ impl HashIndex {
                 }
             }
         };
-        for b in self.buckets.iter() {
+        for b in self.main() {
             visit(b, &mut f);
         }
-        let used = self
-            .overflow_next
-            .load(Ordering::Acquire)
-            .min(self.overflow.len());
-        for b in self.overflow[..used].iter() {
+        for b in self.overflow_used() {
             visit(b, &mut f);
         }
     }
@@ -273,12 +318,9 @@ impl HashIndex {
     /// (paper Sec. 6.3). Layout: `[n_buckets u64][overflow_used u64]
     /// [main words][overflow words]`.
     pub fn dump(&self) -> Vec<u8> {
-        let used = self
-            .overflow_next
-            .load(Ordering::Acquire)
-            .min(self.overflow.len());
-        let mut out = Vec::with_capacity(16 + (self.buckets.len() + used) * 64);
-        out.extend_from_slice(&(self.buckets.len() as u64).to_le_bytes());
+        let used = self.overflow_used().len();
+        let mut out = Vec::with_capacity(16 + (self.bucket_count() + used) * 64);
+        out.extend_from_slice(&(self.bucket_count() as u64).to_le_bytes());
         out.extend_from_slice(&(used as u64).to_le_bytes());
         let mut dump_bucket = |b: &Bucket| {
             for cell in &b.entries {
@@ -290,13 +332,19 @@ impl HashIndex {
             }
             out.extend_from_slice(&b.overflow.load(Ordering::Acquire).to_le_bytes());
         };
-        for b in self.buckets.iter() {
+        for b in self.main() {
             dump_bucket(b);
         }
-        for b in self.overflow[..used].iter() {
+        for b in &self.overflow()[..used] {
             dump_bucket(b);
         }
         out
+    }
+
+    /// The overflow buckets handed out so far.
+    fn overflow_used(&self) -> &[Bucket] {
+        let pool = self.overflow();
+        &pool[..self.overflow_next.load(Ordering::Acquire).min(pool.len())]
     }
 
     /// Restore an index from a [`HashIndex::dump`] buffer.
@@ -316,29 +364,21 @@ impl HashIndex {
             return Err(err("index dump too short"));
         }
         let index = HashIndex::new(n);
-        if used > index.overflow.len() {
+        if used > index.overflow().len() {
             return Err(err("overflow pool too large for layout"));
         }
-        let mut off = 16;
-        let mut load_bucket = |b: &Bucket| {
-            for cell in &b.entries {
-                let w = u64::from_le_bytes(data[off..off + 8].try_into().unwrap());
+        // The arena is zeroed: store only non-zero words, so empty
+        // buckets stay untouched pages.
+        let words = data[16..expect].chunks_exact(8);
+        let cells = index.arena.buckets()[..n + used]
+            .iter()
+            .flat_map(|b| b.entries.iter().chain(std::iter::once(&b.overflow)));
+        for (cell, w) in cells.zip(words) {
+            let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+            if w != 0 {
                 cell.store(w, Ordering::Relaxed);
-                off += 8;
             }
-            b.overflow.store(
-                u64::from_le_bytes(data[off..off + 8].try_into().unwrap()),
-                Ordering::Relaxed,
-            );
-            off += 8;
-        };
-        for b in index.buckets.iter() {
-            load_bucket(b);
         }
-        for b in index.overflow[..used].iter() {
-            load_bucket(b);
-        }
-        let _ = &mut load_bucket;
         index.overflow_next.store(used, Ordering::Release);
         Ok(index)
     }
@@ -357,7 +397,7 @@ impl<'a> Iterator for BucketChain<'a> {
         self.cur = if next == 0 {
             None
         } else {
-            Some(&self.index.overflow[(next - 1) as usize])
+            Some(&self.index.overflow()[(next - 1) as usize])
         };
         Some(cur)
     }

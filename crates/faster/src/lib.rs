@@ -39,6 +39,7 @@ pub mod header;
 pub mod hlog;
 pub mod index;
 mod io;
+mod prefetch;
 mod recovery;
 mod session;
 mod store;
@@ -50,7 +51,9 @@ pub use cpr_core::liveness::{
 pub use cpr_core::{CheckpointVersion, SessionInfo};
 pub use hlog::{HlogConfig, HybridLog};
 pub use index::HashIndex;
-pub use session::{Completion, FasterSession, OpKind, ReadResult, SessionStats, Status};
+pub use session::{
+    BatchOp, BatchResult, Completion, FasterSession, OpKind, ReadResult, SessionStats, Status,
+};
 pub use store::{
     CheckpointVariant, CommitCallback, FasterBuilder, FasterKv, FasterOptions, FasterStore,
     VersionGrain,

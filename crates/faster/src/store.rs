@@ -672,80 +672,66 @@ impl<V: Pod> FasterKv<V> {
     }
 
     /// Full scan: the live `(key, value)` pairs reachable from the log,
-    /// by a log walk over `[begin_address, tail)` — the scan runs in
-    /// address order, so later records win; tombstones delete; invalid
-    /// records are skipped. Pages are fetched from memory when resident,
-    /// from the device otherwise. Intended for quiescent use (verification
-    /// and serving scans after recovery): concurrent writers may or may
-    /// not be observed.
+    /// sorted by key, by a log walk over `[begin_address, tail)`. The newest
+    /// valid record of a key decides: tombstones delete, invalid records
+    /// are skipped. Pages are fetched from memory when resident, from the
+    /// device otherwise. Intended for quiescent use (verification and
+    /// serving scans after recovery): concurrent writers may or may not be
+    /// observed.
     pub fn scan_all(&self) -> io::Result<Vec<(u64, V)>> {
         let hl = &self.inner.hlog;
-        let rec_size = hl.rec.record_size() as u64;
-        let begin = hl.begin_address();
-        let end = hl.tail();
-        let psz = hl.layout.page_size();
-        let mut live: HashMap<u64, Option<V>> = HashMap::new();
-        let mut addr = begin;
-        let mut page_buf: Vec<u8> = Vec::new();
-        let mut buf_start = u64::MAX;
-        while addr < end {
-            // Records never straddle pages; skip page-tail slack.
-            if hl.layout.offset(addr) + rec_size > psz {
-                addr = hl.layout.page_start(hl.layout.page(addr) + 1);
-                continue;
-            }
-            let page = hl.layout.page(addr);
-            let chunk_start = hl.layout.page_start(page).max(begin);
-            if buf_start != chunk_start {
-                let chunk_end = hl.layout.page_start(page + 1).min(end);
-                // Below `head` the authoritative bytes are the durable
-                // image: after recovery the restored tail page is marked
-                // resident with a zeroed frame, so frame-first reads of
-                // the recovered prefix would see slack. At or above
-                // `head`, frames hold appends not yet flushed.
-                let head = hl.head();
-                page_buf = if chunk_end <= head {
-                    hl.read_durable(chunk_start, chunk_end)?
-                } else if chunk_start >= head {
-                    hl.read_range(chunk_start, chunk_end)?
-                } else {
-                    let mut buf = hl.read_durable(chunk_start, head)?;
-                    buf.extend(hl.read_range(head, chunk_end)?);
-                    buf
-                };
-                buf_start = chunk_start;
-            }
-            let base = (addr - buf_start) as usize;
-            if base + rec_size as usize > page_buf.len() {
-                break; // truncated tail
-            }
-            let word = u64::from_le_bytes(page_buf[base..base + 8].try_into().unwrap());
-            if word == 0 {
-                // Unwritten slack: nothing else in this page.
-                addr = hl.layout.page_start(page + 1);
-                continue;
-            }
-            let h = crate::header::Header::unpack(word);
-            if !h.invalid {
-                let key = u64::from_le_bytes(page_buf[base + 8..base + 16].try_into().unwrap());
-                if h.tombstone {
-                    live.insert(key, None);
-                } else {
-                    let words: Vec<u64> = (0..self.inner.value_words)
-                        .map(|i| {
-                            let o = base + 16 + 8 * i;
-                            u64::from_le_bytes(page_buf[o..o + 8].try_into().unwrap())
-                        })
-                        .collect();
-                    live.insert(key, Some(value_from_words(&words)));
-                }
-            }
-            addr += rec_size;
+        let rec = hl.rec.record_size();
+        let (begin, end) = (hl.begin_address(), hl.tail());
+        if end <= begin {
+            return Ok(Vec::new());
         }
-        let mut out: Vec<(u64, V)> = live
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect();
+        // One index entry per key with a record, bar tag collisions.
+        let mut entries = 0;
+        self.inner.index.for_each(|_| entries += 1);
+        // Walking the log backwards, the first valid record met for a key
+        // is its newest: a set of decided keys replaces a map of values,
+        // and the output is built once, at its final size.
+        let mut decided: HashSet<u64> = HashSet::with_capacity(entries);
+        let mut out: Vec<(u64, V)> = Vec::with_capacity(entries);
+        let mut words = vec![0u64; self.inner.value_words];
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+        for page in (hl.layout.page(begin)..=hl.layout.page(end - 1)).rev() {
+            let start = hl.layout.page_start(page).max(begin);
+            let page_end = hl.layout.page_start(page + 1).min(end);
+            // Below `head` the authoritative bytes are the durable image:
+            // after recovery the restored tail page is marked resident
+            // with a zeroed frame, so frame-first reads of the recovered
+            // prefix would see slack. At or above `head`, frames hold
+            // appends not yet flushed.
+            let head = hl.head();
+            let buf = if page_end <= head {
+                hl.read_durable(start, page_end)?
+            } else if start >= head {
+                hl.read_range(start, page_end)?
+            } else {
+                let mut buf = hl.read_durable(start, head)?;
+                buf.extend(hl.read_range(head, page_end)?);
+                buf
+            };
+            // Records never straddle pages, and the first zero header
+            // starts the page's unwritten slack.
+            let records = buf.chunks_exact(rec);
+            let written = records.clone().take_while(|r| word(&r[..8]) != 0).count();
+            for r in records.take(written).rev() {
+                let h = crate::header::Header::unpack(word(&r[..8]));
+                if h.invalid {
+                    continue;
+                }
+                let key = word(&r[8..16]);
+                if !decided.insert(key) || h.tombstone {
+                    continue;
+                }
+                for (w, b) in words.iter_mut().zip(r[16..].chunks_exact(8)) {
+                    *w = word(b);
+                }
+                out.push((key, value_from_words(&words)));
+            }
+        }
         out.sort_unstable_by_key(|&(k, _)| k);
         Ok(out)
     }

@@ -238,3 +238,76 @@ fn commit_callbacks_deliver_cpr_points() {
     assert_eq!(seen_version.load(Ordering::SeqCst), 2);
     assert_eq!(seen_point.load(Ordering::SeqCst), 35);
 }
+
+/// Committed checkpoint tokens, ascending, once the checkpoint thread's
+/// retention pass has left exactly `want` directories.
+fn settled_tokens(dir: &std::path::Path, want: usize) -> Vec<u64> {
+    let root = dir.join("checkpoints");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let dirs = std::fs::read_dir(&root).unwrap().count();
+        if dirs == want {
+            return cpr_storage::CheckpointStore::open(&root)
+                .unwrap()
+                .tokens()
+                .unwrap();
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{dirs} checkpoint dirs, want {want}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// After each commit only what recovery can use survives: the newest log
+/// checkpoint and the newest index checkpoint at or before it. Newer
+/// index-only checkpoints stay too, for later commits.
+#[test]
+fn retention_keeps_only_what_recovery_uses() {
+    let dir = tempfile::tempdir().unwrap();
+    let commit =
+        |kv: &cpr_faster::FasterKv<u64>, s: &mut cpr_faster::FasterSession<u64>, log_only| {
+            let v = kv.committed_version().0 + 1;
+            assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, log_only));
+            while kv.committed_version() < v {
+                s.refresh();
+            }
+        };
+    {
+        let kv = opts(dir.path()).open().unwrap();
+        let mut s = kv.start_session(1);
+        for round in 0..3u64 {
+            for k in 0..100u64 {
+                s.upsert(k, round * 1000 + k);
+            }
+            commit(&kv, &mut s, false);
+        }
+        // Three full commits: only the last survives.
+        let full = settled_tokens(dir.path(), 1);
+        assert_eq!(full.len(), 1);
+        s.upsert(1, 7);
+        commit(&kv, &mut s, true);
+        // A log-only commit keeps the full one for its index.
+        let after_log = settled_tokens(dir.path(), 2);
+        assert_eq!(after_log[0], full[0]);
+        let idx = kv.checkpoint_index().unwrap();
+        s.upsert(2, 8);
+        commit(&kv, &mut s, true);
+        // The index-only checkpoint now serves recovery; the full commit
+        // and the first log-only one are gone.
+        let tokens = settled_tokens(dir.path(), 2);
+        assert_eq!(tokens[0], idx);
+        assert!(tokens[1] > idx);
+        s.upsert(3, 9);
+        drop(s);
+    }
+    let (kv, manifest) = opts(dir.path()).recover().unwrap();
+    assert_eq!(manifest.unwrap().version, 5);
+    let (mut s, point) = kv.continue_session(1);
+    assert_eq!(point, 302);
+    assert_eq!(read_now(&mut s, 1), Some(7));
+    assert_eq!(read_now(&mut s, 2), Some(8));
+    assert_eq!(read_now(&mut s, 3), Some(2003), "post-commit upsert lost");
+    assert_eq!(read_now(&mut s, 50), Some(2050));
+}

@@ -1,6 +1,7 @@
-//! Hybrid-log frame memory is committed lazily: opening a store must not
-//! touch frames the log has not reached. Kept in its own test binary so
-//! the process's resident set is not shared with other tests.
+//! Hybrid-log frame and hash-index memory is committed lazily: opening a
+//! store must not touch frames the log has not reached, nor index
+//! buckets no key has reached. Kept in its own test binary so the
+//! process's resident set is not shared with other tests.
 
 #![cfg(target_os = "linux")]
 
@@ -21,8 +22,10 @@ fn vm_rss_kib() -> u64 {
 fn opening_a_store_does_not_commit_its_frames() {
     let dir = tempfile::tempdir().unwrap();
     let before = vm_rss_kib();
-    // 256 frames of 4 MiB: 1 GiB of hybrid-log memory.
+    // 256 frames of 4 MiB: 1 GiB of hybrid-log memory; 2^18 main and
+    // 2^20 overflow buckets: 80 MiB of index.
     let kv = FasterBuilder::u64_sums(dir.path())
+        .index_buckets(1 << 18)
         .hlog(HlogConfig {
             page_bits: 22,
             memory_pages: 256,
@@ -39,6 +42,6 @@ fn opening_a_store_does_not_commit_its_frames() {
     let grown_mib = vm_rss_kib().saturating_sub(before) / 1024;
     assert!(
         grown_mib < 64,
-        "opening a 1 GiB log grew RSS by {grown_mib} MiB"
+        "opening a 1 GiB log and an 80 MiB index grew RSS by {grown_mib} MiB"
     );
 }

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use cpr_core::CommitPoint;
 use cpr_metrics::Registry;
 
-use crate::wire::{Frame, FrameReader, OpKind, WireOp};
+use crate::wire::{encode_op_batch_into, Frame, FrameReader, OpKind, WireOp};
 
 /// Socket poll granularity while waiting on the server.
 const POLL: Duration = Duration::from_millis(5);
@@ -78,6 +78,52 @@ impl ReplayBuffer {
     }
 }
 
+/// Ops with consecutive serials, stored without them: op `i` has serial
+/// `first + i`. That is 17 bytes an op where a `WireOp` takes 32, and a
+/// client holds every op until a commit point covers it.
+#[derive(Debug, Default)]
+struct Batch {
+    first: u64,
+    kinds: Vec<OpKind>,
+    /// `(key, arg)` per op.
+    args: Vec<(u64, u64)>,
+}
+
+impl Batch {
+    fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.kinds.is_empty()
+    }
+
+    /// Append `op`, whose serial must follow the batch's last one.
+    fn push(&mut self, op: WireOp) {
+        if self.is_empty() {
+            self.first = op.serial;
+        }
+        debug_assert_eq!(op.serial, self.first + self.len() as u64);
+        self.kinds.push(op.kind);
+        self.args.push((op.key, op.arg));
+    }
+
+    fn clear(&mut self) {
+        self.kinds.clear();
+        self.args.clear();
+    }
+
+    fn ops(&self) -> impl ExactSizeIterator<Item = WireOp> + '_ {
+        let ops = self.kinds.iter().zip(&self.args).enumerate();
+        ops.map(|(i, (&kind, &(key, arg)))| WireOp {
+            serial: self.first + i as u64,
+            kind,
+            key,
+            arg,
+        })
+    }
+}
+
 /// A connection to a [`crate::server::NetServer`], bound to one session
 /// guid.
 pub struct NetClient {
@@ -87,18 +133,26 @@ pub struct NetClient {
     /// Serial of the last op enqueued.
     next_serial: u64,
     /// Ops accumulated for the next batch.
-    batch: Vec<WireOp>,
+    batch: Batch,
     /// Ops per batch for `submit` auto-flush.
     batch_size: usize,
-    /// Sent batches not yet acked: (first_serial, op count, kinds/keys
-    /// for result reporting).
-    inflight: VecDeque<Vec<WireOp>>,
+    /// Sent batches not yet acked, oldest first (kinds and keys for
+    /// result reporting).
+    inflight: VecDeque<Batch>,
     /// Send timestamp per in-flight batch, for RTT metrics.
     sent_at: VecDeque<Instant>,
     /// Max sent-but-unacked batches before `flush` blocks on acks.
     window: usize,
-    /// Every sent op whose serial is beyond `committed.until_serial`.
-    retained: VecDeque<WireOp>,
+    /// Acked batches, oldest first, holding every acked op that no commit
+    /// point covers yet. Trimmed a whole batch at a time, so the front
+    /// batch may also hold covered ops.
+    retained: VecDeque<Batch>,
+    /// Ops in `retained`.
+    retained_ops: usize,
+    /// A trimmed batch's allocation, reused for the next batch.
+    spare: Batch,
+    /// Encoding buffer for outgoing frames.
+    out: Vec<u8>,
     /// Commit point learned at the handshake.
     resume: CommitPoint,
     /// Latest commit point (handshake or server push).
@@ -133,12 +187,15 @@ impl NetClient {
             reader: FrameReader::new(),
             guid,
             next_serial: 0,
-            batch: Vec::new(),
+            batch: Batch::default(),
             batch_size: DEFAULT_BATCH,
             inflight: VecDeque::new(),
             sent_at: VecDeque::new(),
             window: DEFAULT_WINDOW,
             retained: VecDeque::new(),
+            retained_ops: 0,
+            spare: Batch::default(),
+            out: Vec::new(),
             resume: CommitPoint::prefix(0, 0),
             committed: CommitPoint::prefix(0, 0),
             results: Vec::new(),
@@ -146,21 +203,38 @@ impl NetClient {
             metrics: Registry::noop(),
         };
         client.send(&Frame::Hello { guid })?;
-        let resume = match client.recv_blocking(Duration::from_secs(10))? {
-            Frame::HelloAck { guid: g, resume } if g == guid => resume,
-            Frame::Error { code, msg } => {
-                return Err(io::Error::other(format!("handshake refused ({code}): {msg}")))
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected HelloAck, got {other:?}"),
-                ))
+        // The server registers the connection for commit pushes before it
+        // queues the ack, so a commit landing in between arrives first:
+        // keep the newest such point and apply it after the handshake.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut early: Option<CommitPoint> = None;
+        let resume = loop {
+            match client.recv_blocking_deadline(deadline)? {
+                Frame::HelloAck { guid: g, resume } if g == guid => break resume,
+                Frame::CommitPoint(cp) => {
+                    if early.as_ref().is_none_or(|e| cp.version >= e.version) {
+                        early = Some(cp);
+                    }
+                }
+                Frame::Error { code, msg } => {
+                    return Err(io::Error::other(format!(
+                        "handshake refused ({code}): {msg}"
+                    )))
+                }
+                other => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("expected HelloAck, got {other:?}"),
+                    ))
+                }
             }
         };
         client.next_serial = resume.until_serial;
         client.resume = resume.clone();
         client.committed = CommitPoint::prefix(resume.version, 0);
+        if let Some(cp) = early.filter(|cp| cp.version >= resume.version) {
+            client.absorb(Frame::CommitPoint(cp))?;
+        }
 
         // Replay the uncovered suffix. These are ordinary batches: the
         // server skips nothing (all serials are beyond its resume point)
@@ -207,7 +281,21 @@ impl NetClient {
     /// Ops not yet covered by a commit point (would be replayed if the
     /// server crashed now).
     pub fn uncommitted(&self) -> usize {
-        self.retained.len() + self.inflight.iter().map(Vec::len).sum::<usize>() + self.batch.len()
+        // Only batches starting at or below the commit point can hold
+        // covered ops; trimming keeps those few at the front.
+        let covered: usize = self
+            .retained
+            .iter()
+            .take_while(|b| b.first <= self.committed.until_serial)
+            .map(|b| {
+                b.ops()
+                    .filter(|op| self.committed.covers(op.serial))
+                    .count()
+            })
+            .sum();
+        self.retained_ops - covered
+            + self.inflight.iter().map(Batch::len).sum::<usize>()
+            + self.batch.len()
     }
 
     pub fn set_window(&mut self, batches: usize) {
@@ -263,8 +351,10 @@ impl NetClient {
     /// window has room again.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.batch.is_empty() {
-            let batch = std::mem::take(&mut self.batch);
-            self.send(&Frame::OpBatch { ops: batch.clone() })?;
+            self.out.clear();
+            encode_op_batch_into(self.batch.ops(), &mut self.out);
+            self.stream.write_all(&self.out)?;
+            let batch = std::mem::replace(&mut self.batch, std::mem::take(&mut self.spare));
             self.inflight.push_back(batch);
             self.sent_at.push_back(Instant::now());
         }
@@ -354,11 +444,15 @@ impl NetClient {
     /// [`NetClient::connect_with`]. Includes acked-but-uncommitted,
     /// in-flight, and unsent ops, in serial order.
     pub fn take_buffer(self) -> ReplayBuffer {
-        let mut ops: Vec<WireOp> = self.retained.into_iter().collect();
-        for b in self.inflight {
-            ops.extend(b);
-        }
-        ops.extend(self.batch);
+        let committed = &self.committed;
+        let mut ops: Vec<WireOp> = self
+            .retained
+            .iter()
+            .flat_map(Batch::ops)
+            .filter(|op| !committed.covers(op.serial))
+            .collect();
+        ops.extend(self.inflight.iter().flat_map(Batch::ops));
+        ops.extend(self.batch.ops());
         ops.sort_unstable_by_key(|op| op.serial);
         ops.dedup_by_key(|op| op.serial);
         ReplayBuffer { ops }
@@ -367,7 +461,9 @@ impl NetClient {
     // ---- frame plumbing -----------------------------------------------------
 
     fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        self.stream.write_all(&frame.encode())
+        self.out.clear();
+        frame.encode_into(&mut self.out);
+        self.stream.write_all(&self.out)
     }
 
     /// Receive one frame and fold it into client state.
@@ -387,7 +483,7 @@ impl NetClient {
                 if let Some(t0) = self.sent_at.pop_front() {
                     if self.metrics.is_enabled() {
                         let reads =
-                            batch.iter().filter(|op| op.kind == OpKind::Read).count() as u64;
+                            batch.kinds.iter().filter(|&&k| k == OpKind::Read).count() as u64;
                         self.metrics.record_commit(
                             t0.elapsed(),
                             reads,
@@ -395,23 +491,36 @@ impl NetClient {
                         );
                     }
                 }
-                // Acked ops stay retained until a commit point covers
-                // them; an ack only means applied.
-                self.retained.extend(batch.iter().copied());
-                for (r, op) in replies.iter().zip(batch.iter()) {
-                    self.results.push(OpResult {
+                self.results
+                    .extend(replies.iter().zip(batch.ops()).map(|(r, op)| OpResult {
                         serial: r.serial,
                         kind: op.kind,
                         key: op.key,
                         status: r.status,
                         value: r.value,
-                    });
-                }
-                let _ = replies;
+                    }));
+                // Acked ops stay retained until a commit point covers
+                // them; an ack only means applied.
+                self.retained_ops += batch.len();
+                self.retained.push_back(batch);
                 Ok(())
             }
             Frame::CommitPoint(cp) => {
-                self.retained.retain(|op| !cp.covers(op.serial));
+                while let Some(batch) = self.retained.front() {
+                    // Batches here are never empty.
+                    let last = batch.first + batch.len() as u64 - 1;
+                    let excluded = cp
+                        .exclusions
+                        .iter()
+                        .any(|s| (batch.first..=last).contains(s));
+                    if last > cp.until_serial || excluded {
+                        break;
+                    }
+                    let mut batch = self.retained.pop_front().expect("front checked");
+                    self.retained_ops -= batch.len();
+                    batch.clear();
+                    self.spare = batch;
+                }
                 self.committed = cp;
                 Ok(())
             }
@@ -423,10 +532,6 @@ impl NetClient {
                 format!("unexpected frame {other:?}"),
             )),
         }
-    }
-
-    fn recv_blocking(&mut self, timeout: Duration) -> io::Result<Frame> {
-        self.recv_blocking_deadline(Instant::now() + timeout)
     }
 
     fn recv_blocking_deadline(&mut self, deadline: Instant) -> io::Result<Frame> {
@@ -447,6 +552,7 @@ impl NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{OpReply, OpStatus};
 
     fn op(serial: u64, key: u64) -> WireOp {
         WireOp {
@@ -492,6 +598,124 @@ mod tests {
             replay.iter().map(|o| (o.serial, o.key)).collect::<Vec<_>>(),
             vec![(7, 102), (8, 105), (9, 107), (10, 108)]
         );
+    }
+
+    /// Accept one connection on a local listener and run `script` over
+    /// it on a thread; returns the address and the thread.
+    fn scripted_server(
+        script: impl FnOnce(&mut TcpStream, &mut FrameReader) + Send + 'static,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(POLL)).unwrap();
+            script(&mut stream, &mut FrameReader::new());
+        });
+        (addr, server)
+    }
+
+    fn next_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Frame {
+        loop {
+            if let Some(f) = reader.poll(stream).unwrap() {
+                return f;
+            }
+        }
+    }
+
+    fn send_frames(stream: &mut TcpStream, frames: &[Frame]) {
+        let mut out = Vec::new();
+        for f in frames {
+            f.encode_into(&mut out);
+        }
+        stream.write_all(&out).unwrap();
+    }
+
+    /// A commit can land between the server registering a connection and
+    /// queuing its `HelloAck`, so the commit point arrives first. The
+    /// client keeps it and applies it after the handshake.
+    #[test]
+    fn commit_point_before_hello_ack_is_absorbed() {
+        let (addr, server) = scripted_server(|stream, reader| {
+            assert_eq!(next_frame(stream, reader), Frame::Hello { guid: 9 });
+            send_frames(
+                stream,
+                &[
+                    Frame::CommitPoint(CommitPoint::prefix(3, 40)),
+                    Frame::CommitPoint(CommitPoint::prefix(4, 50)),
+                    Frame::HelloAck {
+                        guid: 9,
+                        resume: CommitPoint::prefix(3, 55),
+                    },
+                ],
+            );
+            assert_eq!(next_frame(stream, reader), Frame::Goodbye);
+        });
+        let client = NetClient::connect(addr, 9).unwrap();
+        assert_eq!(client.resume_point(), &CommitPoint::prefix(3, 55));
+        assert_eq!(
+            client.committed(),
+            &CommitPoint::prefix(4, 50),
+            "newest early point"
+        );
+        assert_eq!(client.next_serial(), 56);
+        client.goodbye().unwrap();
+        server.join().unwrap();
+    }
+
+    /// Acked batches are dropped only once a commit point covers them
+    /// whole; a point inside a batch keeps it, but covered ops are
+    /// neither counted as uncommitted nor handed out for replay.
+    #[test]
+    fn commit_point_trims_whole_batches() {
+        let (addr, server) = scripted_server(|stream, reader| {
+            assert_eq!(next_frame(stream, reader), Frame::Hello { guid: 4 });
+            send_frames(
+                stream,
+                &[Frame::HelloAck {
+                    guid: 4,
+                    resume: CommitPoint::prefix(0, 0),
+                }],
+            );
+            for _ in 0..2 {
+                let Frame::OpBatch { ops } = next_frame(stream, reader) else {
+                    panic!("expected a batch");
+                };
+                let replies = ops
+                    .iter()
+                    .map(|op| OpReply {
+                        serial: op.serial,
+                        status: OpStatus::Ok,
+                        value: None,
+                    })
+                    .collect();
+                send_frames(stream, &[Frame::BatchAck { replies }]);
+            }
+            send_frames(stream, &[Frame::CommitPoint(CommitPoint::prefix(1, 5))]);
+            assert_eq!(next_frame(stream, reader), Frame::ScanReq);
+            send_frames(
+                stream,
+                &[Frame::ScanChunk {
+                    last: true,
+                    entries: Vec::new(),
+                }],
+            );
+        });
+        let mut client = NetClient::connect(addr, 4).unwrap();
+        client.set_batch_size(4);
+        for k in 0..8 {
+            client.upsert(k, k).unwrap();
+        }
+        assert_eq!(client.sync().unwrap().len(), 8);
+        assert_eq!(client.uncommitted(), 8);
+        // The scan's reply comes after the commit point.
+        assert!(client.scan().unwrap().is_empty());
+        assert_eq!(client.committed(), &CommitPoint::prefix(1, 5));
+        assert_eq!(client.uncommitted(), 3);
+        let buffer = client.take_buffer();
+        let serials: Vec<u64> = buffer.ops.iter().map(|op| op.serial).collect();
+        assert_eq!(serials, vec![6, 7, 8]);
+        server.join().unwrap();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::io;
 
 use cpr_core::SessionCpr;
-use cpr_faster::{CheckpointVariant, FasterKv, FasterSession, ReadResult, Status};
+use cpr_faster::{BatchOp, BatchResult, CheckpointVariant, Completion, FasterKv, FasterSession};
 use cpr_memdb::{Abort, Access, MemDb, Session as MemdbSession, TxnRequest};
 
 use crate::wire::{checkpoint_variant, OpKind, OpReply, OpStatus, WireOp};
@@ -49,10 +49,10 @@ pub trait NetEngine: Send + Sync + 'static {
 /// One engine session bound to a connection thread.
 pub trait NetSession {
     /// Apply ops in order, driving any pending operations to completion,
-    /// and return one reply per op (same order). The caller guarantees
-    /// `ops[i].serial` continues the session's serial sequence
-    /// contiguously.
-    fn apply_batch(&mut self, ops: &[WireOp]) -> Vec<OpReply>;
+    /// and append one reply per op (same order) to `out`. The caller
+    /// guarantees `ops[i].serial` continues the session's serial
+    /// sequence contiguously.
+    fn apply_batch(&mut self, ops: &[WireOp], out: &mut Vec<OpReply>);
 
     /// Participate in the CPR state machine while idle (epoch refresh).
     fn refresh(&mut self);
@@ -64,10 +64,17 @@ pub trait NetSession {
 // ---- FASTER ----------------------------------------------------------------
 
 impl NetEngine for FasterKv<u64> {
-    type Session = FasterSession<u64>;
+    type Session = FasterNetSession;
 
     fn continue_session(&self, guid: u64) -> (Self::Session, u64) {
-        FasterKv::continue_session(self, guid)
+        let (session, resume) = FasterKv::continue_session(self, guid);
+        let session = FasterNetSession {
+            session,
+            ops: Vec::new(),
+            results: Vec::new(),
+            done: Vec::new(),
+        };
+        (session, resume)
     }
 
     fn request_checkpoint(&self, variant: u8, log_only: bool) -> bool {
@@ -92,89 +99,88 @@ impl NetEngine for FasterKv<u64> {
     }
 }
 
-impl NetSession for FasterSession<u64> {
-    fn apply_batch(&mut self, ops: &[WireOp]) -> Vec<OpReply> {
-        let mut replies: Vec<OpReply> = Vec::with_capacity(ops.len());
-        // Engine-assigned serial -> reply index, for ops that went
-        // pending. The caller keeps wire serials aligned with the
-        // session's internal counter, so completions match up by serial.
-        let mut pending: Vec<(u64, usize)> = Vec::new();
-        for op in ops {
-            let idx = replies.len();
-            let (status, value) = match op.kind {
-                OpKind::Read => match self.read(op.key) {
-                    ReadResult::Found(v) => (OpStatus::Ok, Some(v)),
-                    ReadResult::NotFound => (OpStatus::NotFound, None),
-                    ReadResult::Pending => {
-                        pending.push((self.serial(), idx));
-                        (OpStatus::Ok, None)
-                    }
-                    ReadResult::Evicted => (OpStatus::Evicted, None),
-                },
-                OpKind::Upsert => match self.upsert(op.key, op.arg) {
-                    Status::Ok => (OpStatus::Ok, None),
-                    Status::Pending => {
-                        pending.push((self.serial(), idx));
-                        (OpStatus::Ok, None)
-                    }
-                    _ => (OpStatus::Evicted, None),
-                },
-                OpKind::Rmw => match self.rmw(op.key, op.arg) {
-                    Status::Ok => (OpStatus::Ok, None),
-                    Status::Pending => {
-                        pending.push((self.serial(), idx));
-                        (OpStatus::Ok, None)
-                    }
-                    _ => (OpStatus::Evicted, None),
-                },
-                OpKind::Delete => match self.delete(op.key) {
-                    Status::Ok => (OpStatus::Ok, None),
-                    Status::Pending => {
-                        pending.push((self.serial(), idx));
-                        (OpStatus::Ok, None)
-                    }
-                    _ => (OpStatus::Evicted, None),
-                },
+/// A FASTER session serving one connection, with the buffers its batches
+/// reuse.
+pub struct FasterNetSession {
+    session: FasterSession<u64>,
+    ops: Vec<BatchOp<u64>>,
+    results: Vec<BatchResult<u64>>,
+    done: Vec<Completion<u64>>,
+}
+
+impl From<WireOp> for BatchOp<u64> {
+    fn from(op: WireOp) -> Self {
+        match op.kind {
+            OpKind::Read => BatchOp::Read(op.key),
+            OpKind::Upsert => BatchOp::Upsert(op.key, op.arg),
+            OpKind::Rmw => BatchOp::Rmw(op.key, op.arg),
+            OpKind::Delete => BatchOp::Delete(op.key),
+        }
+    }
+}
+
+impl NetSession for FasterNetSession {
+    fn apply_batch(&mut self, ops: &[WireOp], out: &mut Vec<OpReply>) {
+        self.ops.clear();
+        self.ops.extend(ops.iter().map(|&op| BatchOp::from(op)));
+        self.results.clear();
+        // The caller keeps wire serials aligned with the session's
+        // internal counter: op `i` gets engine serial `first + i`.
+        let first = self.session.serial() + 1;
+        self.session.apply_batch(&self.ops, &mut self.results);
+        let base = out.len();
+        let mut pending = false;
+        out.extend(ops.iter().zip(&self.results).map(|(op, r)| {
+            let (status, value) = match *r {
+                BatchResult::Found(v) => (OpStatus::Ok, Some(v)),
+                BatchResult::NotFound => (OpStatus::NotFound, None),
+                BatchResult::Done => (OpStatus::Ok, None),
+                BatchResult::Pending => {
+                    pending = true;
+                    (OpStatus::Ok, None)
+                }
+                BatchResult::Evicted => (OpStatus::Evicted, None),
             };
-            replies.push(OpReply {
+            OpReply {
                 serial: op.serial,
                 status,
                 value,
-            });
-        }
-        if !pending.is_empty() {
-            // Batch acks mean "applied": drive every pending op home
-            // before replying.
-            while self.pending_len() > 0 {
-                self.refresh();
-                self.complete_pending();
-                std::hint::spin_loop();
             }
-            let mut done = Vec::new();
-            self.drain_completions(&mut done);
-            for c in done {
-                if let Some(&(_, idx)) = pending.iter().find(|&&(s, _)| s == c.serial) {
-                    if ops[idx].kind == OpKind::Read {
-                        replies[idx].status = if c.value.is_some() {
-                            OpStatus::Ok
-                        } else {
-                            OpStatus::NotFound
-                        };
-                        replies[idx].value = c.value;
-                    }
-                }
+        }));
+        if !pending {
+            return;
+        }
+        // Batch acks mean "applied": drive every pending op home before
+        // replying.
+        while self.session.pending_len() > 0 {
+            self.session.refresh();
+            self.session.complete_pending();
+            std::hint::spin_loop();
+        }
+        self.done.clear();
+        self.session.drain_completions(&mut self.done);
+        for c in &self.done {
+            let Some(i) = c.serial.checked_sub(first).map(|i| i as usize) else {
+                continue;
+            };
+            if i < ops.len() && ops[i].kind == OpKind::Read {
+                out[base + i].status = if c.value.is_some() {
+                    OpStatus::Ok
+                } else {
+                    OpStatus::NotFound
+                };
+                out[base + i].value = c.value;
             }
         }
-        replies
     }
 
     fn refresh(&mut self) {
-        FasterSession::refresh(self);
-        self.complete_pending();
+        self.session.refresh();
+        self.session.complete_pending();
     }
 
     fn serial(&self) -> u64 {
-        FasterSession::serial(self)
+        self.session.serial()
     }
 }
 
@@ -206,8 +212,8 @@ impl NetEngine for MemDb<u64> {
 }
 
 impl NetSession for MemdbSession<u64> {
-    fn apply_batch(&mut self, ops: &[WireOp]) -> Vec<OpReply> {
-        let mut replies = Vec::with_capacity(ops.len());
+    fn apply_batch(&mut self, ops: &[WireOp], out: &mut Vec<OpReply>) {
+        out.reserve(ops.len());
         let mut reads: Vec<u64> = Vec::with_capacity(1);
         for op in ops {
             let access = match op.kind {
@@ -243,13 +249,12 @@ impl NetSession for MemdbSession<u64> {
             // is never reported here (unlike the FASTER adapter).
             let value = (op.kind == OpKind::Read && status == OpStatus::Ok)
                 .then(|| reads.first().copied().unwrap_or(0));
-            replies.push(OpReply {
+            out.push(OpReply {
                 serial: op.serial,
                 status,
                 value,
             });
         }
-        replies
     }
 
     fn refresh(&mut self) {

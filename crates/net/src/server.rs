@@ -5,7 +5,9 @@
 //! engine session (sessions are thread-affine) and a **writer** that
 //! drains a channel of outbound frames. Commit-point pushes originate on
 //! the engine's checkpoint thread; routing them through the writer
-//! channel means a slow client socket can never block a checkpoint.
+//! channel means a slow client socket can never block a checkpoint, and
+//! a client that pipelines many batches cannot deadlock the reader on a
+//! full socket while it is not reading acks.
 //!
 //! The reader polls its socket with a short timeout so an idle
 //! connection still refreshes its session — an unrefreshed session would
@@ -14,13 +16,29 @@
 //! no-dedicated-threads spirit: the connection thread *is* the session
 //! thread.
 //!
+//! **Batch path.** The reader's [`FrameReader`] takes as many bytes as
+//! the socket has ready into one buffer and parses each frame from it.
+//! An `OpBatch` goes to the engine as one [`NetSession::apply_batch`]
+//! call (for FASTER, the prefetch-pipelined
+//! [`cpr_faster::FasterSession::apply_batch`]), which appends one reply
+//! per op to the ack being built. The writer encodes the frames queued
+//! at the time, up to 64 KiB of them, into one reused buffer and writes
+//! them with one call; a scan result is handed to it whole and streamed
+//! as chunk frames encoded straight from it.
+//!
 //! Per-connection protocol state: serials are validated here, not in the
 //! engine. A batch may overlap the session's resume point after a
 //! reconnect — ops at or below the current serial were already applied
 //! by a previous incarnation and are acked `Skipped` without touching
-//! the engine (idempotent replay); the remainder must continue the
+//! the engine (idempotent replay). Serials ascend within a batch, so
+//! those ops are always a leading run; the remainder must continue the
 //! serial sequence contiguously.
+//!
+//! The connection is registered for commit pushes before its `HelloAck`
+//! is queued, so a commit landing in between reaches the client first;
+//! the client absorbs such early commit points.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -34,16 +52,38 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::engine::{NetEngine, NetSession};
-use crate::wire::{error_code, Frame, FrameReader, OpReply, OpStatus, WireOp};
+use crate::wire::{
+    encode_scan_chunk_into, error_code, Frame, FrameReader, OpReply, OpStatus, WireOp,
+};
 
 /// How often an idle reader wakes to refresh its session.
 const POLL: Duration = Duration::from_millis(5);
 /// How long a fresh connection may take to say Hello.
 const HELLO_DEADLINE: Duration = Duration::from_secs(10);
+/// How long a connection for a guid waits for the previous connection of
+/// that guid to be torn down before it is refused.
+const TEARDOWN_GRACE: Duration = Duration::from_secs(1);
 /// Scan results are streamed in chunks of this many entries.
 const SCAN_CHUNK: usize = 64 * 1024;
+/// The writer stops adding queued frames to one write at this many
+/// bytes.
+const WRITE_BATCH: usize = 64 * 1024;
 
-type Conns = Arc<Mutex<HashMap<u64, Sender<Frame>>>>;
+type Conns = Arc<Mutex<HashMap<u64, Sender<Outbound>>>>;
+
+/// What a connection's writer thread sends.
+enum Outbound {
+    Frame(Frame),
+    /// A whole scan result, streamed as `ScanChunk` frames encoded
+    /// straight from it: the scan is never copied into chunk frames.
+    Scan(Vec<(u64, u64)>),
+}
+
+impl From<Frame> for Outbound {
+    fn from(frame: Frame) -> Self {
+        Outbound::Frame(frame)
+    }
+}
 
 /// A running server; dropping it (or calling [`NetServer::shutdown`])
 /// stops the accept loop and disconnects every client.
@@ -73,10 +113,8 @@ impl NetServer {
                 let conns = conns.lock();
                 for s in sessions {
                     if let Some(tx) = conns.get(&s.guid) {
-                        let _ = tx.send(Frame::CommitPoint(CommitPoint::prefix(
-                            version,
-                            s.cpr_point,
-                        )));
+                        let point = CommitPoint::prefix(version, s.cpr_point);
+                        let _ = tx.send(Frame::CommitPoint(point).into());
                     }
                 }
             }));
@@ -147,7 +185,7 @@ impl Drop for NetServer {
 struct Connection<E: NetEngine> {
     session: E::Session,
     guid: u64,
-    tx: Sender<Frame>,
+    tx: Sender<Outbound>,
 }
 
 impl<E: NetEngine> Connection<E> {
@@ -184,12 +222,18 @@ impl<E: NetEngine> Connection<E> {
             }
         };
 
-        // One connection per guid: a session is single-threaded state.
-        let (tx, rx) = unbounded::<Frame>();
-        {
-            let mut map = conns.lock();
-            if map.contains_key(&guid) {
-                drop(map);
+        // One connection per guid: a session is single-threaded state. A
+        // client that reconnects right after dropping its socket can beat
+        // the teardown of its old connection, whose reader notices the
+        // hang-up within one poll: give that teardown a grace period.
+        let (tx, rx) = unbounded::<Outbound>();
+        let grace = Instant::now() + TEARDOWN_GRACE;
+        loop {
+            if let Entry::Vacant(e) = conns.lock().entry(guid) {
+                e.insert(tx.clone());
+                break;
+            }
+            if Instant::now() >= grace {
                 send_now(
                     &mut stream,
                     &Frame::Error {
@@ -199,7 +243,7 @@ impl<E: NetEngine> Connection<E> {
                 );
                 return Ok(());
             }
-            map.insert(guid, tx.clone());
+            std::thread::sleep(POLL);
         }
 
         // Writer thread: owns the write half, drains the channel.
@@ -217,7 +261,7 @@ impl<E: NetEngine> Connection<E> {
             guid,
             tx,
         };
-        let _ = conn.tx.send(Frame::HelloAck {
+        conn.send(Frame::HelloAck {
             guid,
             resume: CommitPoint::prefix(engine.committed_version(), resume_from),
         });
@@ -261,26 +305,14 @@ impl<E: NetEngine> Connection<E> {
                 }
                 Frame::CheckpointReq { variant, log_only } => {
                     let started = engine.request_checkpoint(variant, log_only);
-                    let _ = self.tx.send(Frame::CheckpointAck { started });
+                    self.send(Frame::CheckpointAck { started });
                 }
                 Frame::ScanReq => match engine.scan() {
                     Ok(entries) => {
-                        let mut chunks = entries.chunks(SCAN_CHUNK).peekable();
-                        if chunks.peek().is_none() {
-                            let _ = self.tx.send(Frame::ScanChunk {
-                                last: true,
-                                entries: Vec::new(),
-                            });
-                        }
-                        while let Some(chunk) = chunks.next() {
-                            let _ = self.tx.send(Frame::ScanChunk {
-                                last: chunks.peek().is_none(),
-                                entries: chunk.to_vec(),
-                            });
-                        }
+                        let _ = self.tx.send(Outbound::Scan(entries));
                     }
                     Err(e) => {
-                        let _ = self.tx.send(Frame::Error {
+                        self.send(Frame::Error {
                             code: error_code::IO,
                             msg: format!("scan failed: {e}"),
                         });
@@ -288,7 +320,7 @@ impl<E: NetEngine> Connection<E> {
                 },
                 Frame::Goodbye => return Ok(()),
                 other => {
-                    let _ = self.tx.send(Frame::Error {
+                    self.send(Frame::Error {
                         code: error_code::PROTOCOL,
                         msg: format!("unexpected frame {other:?}"),
                     });
@@ -298,48 +330,54 @@ impl<E: NetEngine> Connection<E> {
         }
     }
 
+    /// Queue `frame` for the writer. A closed channel means the writer
+    /// has exited (the socket failed); the read loop notices on its own.
+    fn send(&self, frame: Frame) {
+        let _ = self.tx.send(frame.into());
+    }
+
     /// Apply one batch; returns `false` if the connection must close
     /// (protocol violation or session eviction).
     fn handle_batch(&mut self, ops: Vec<WireOp>) -> io::Result<bool> {
-        // Split the replayed-overlap prefix (already applied before a
-        // reconnect) from ops to apply, preserving order for the ack.
+        // Serials in a batch ascend, so the replayed overlap (ops already
+        // applied before a reconnect) is a prefix: ack it `Skipped`
+        // without touching the engine. The rest must continue the
+        // session's serial sequence contiguously; replies then come out
+        // in the order the ops arrived.
         let current = self.session.serial();
-        let mut replies: Vec<OpReply> = Vec::with_capacity(ops.len());
-        let mut to_apply: Vec<WireOp> = Vec::with_capacity(ops.len());
-        let mut expected = current;
-        for op in &ops {
-            if op.serial <= current {
-                replies.push(OpReply {
-                    serial: op.serial,
-                    status: OpStatus::Skipped,
-                    value: None,
-                });
-                continue;
-            }
-            expected += 1;
-            if op.serial != expected {
-                let _ = self.tx.send(Frame::Error {
-                    code: error_code::PROTOCOL,
-                    msg: format!(
-                        "serial gap: got {}, expected {} (guid {})",
-                        op.serial, expected, self.guid
-                    ),
-                });
-                return Ok(false);
-            }
-            to_apply.push(*op);
+        let skipped = ops.iter().take_while(|op| op.serial <= current).count();
+        let (replayed, fresh) = ops.split_at(skipped);
+        if let Some((i, op)) = fresh
+            .iter()
+            .enumerate()
+            .find(|&(i, op)| op.serial != current + 1 + i as u64)
+        {
+            self.send(Frame::Error {
+                code: error_code::PROTOCOL,
+                msg: format!(
+                    "serial gap: got {}, expected {} (guid {})",
+                    op.serial,
+                    current + 1 + i as u64,
+                    self.guid
+                ),
+            });
+            return Ok(false);
         }
-        let applied = self.session.apply_batch(&to_apply);
-        let evicted = applied.iter().any(|r| r.status == OpStatus::Evicted);
-        replies.extend(applied);
-        // Keep acks in the order ops arrived (skips were all leading,
-        // since serials in a batch are ascending).
-        replies.sort_by_key(|r| r.serial);
-        let _ = self.tx.send(Frame::BatchAck { replies });
+        let mut replies: Vec<OpReply> = Vec::with_capacity(ops.len());
+        replies.extend(replayed.iter().map(|op| OpReply {
+            serial: op.serial,
+            status: OpStatus::Skipped,
+            value: None,
+        }));
+        self.session.apply_batch(fresh, &mut replies);
+        let evicted = replies[skipped..]
+            .iter()
+            .any(|r| r.status == OpStatus::Evicted);
+        self.send(Frame::BatchAck { replies });
         if evicted {
             // The engine rolled this session back to its CPR point; the
             // client must reconnect and replay from there.
-            let _ = self.tx.send(Frame::Error {
+            self.send(Frame::Error {
                 code: error_code::EVICTED,
                 msg: format!("session {} evicted during checkpoint", self.guid),
             });
@@ -349,10 +387,52 @@ impl<E: NetEngine> Connection<E> {
     }
 }
 
-fn writer_loop(mut stream: TcpStream, rx: Receiver<Frame>) {
-    while let Ok(frame) = rx.recv() {
-        if stream.write_all(&frame.encode()).is_err() {
-            return;
+/// Drain the channel into the socket. Frames queued together are encoded
+/// into one reused buffer, up to about `WRITE_BATCH` bytes, and written
+/// with one call; a scan is encoded and written one chunk at a time.
+fn writer_loop(mut stream: TcpStream, rx: Receiver<Outbound>) {
+    let mut buf = Vec::with_capacity(WRITE_BATCH);
+    let mut next = rx.recv().ok();
+    while let Some(out) = next.take() {
+        buf.clear();
+        match out {
+            Outbound::Frame(frame) => {
+                frame.encode_into(&mut buf);
+                while buf.len() < WRITE_BATCH {
+                    match rx.try_recv() {
+                        Ok(Outbound::Frame(more)) => more.encode_into(&mut buf),
+                        Ok(scan) => {
+                            next = Some(scan);
+                            break;
+                        }
+                        Err(_) => break,
+                    }
+                }
+                if stream.write_all(&buf).is_err() {
+                    return;
+                }
+            }
+            Outbound::Scan(entries) => {
+                // An empty scan is one empty last chunk.
+                let chunks: Vec<&[(u64, u64)]> = if entries.is_empty() {
+                    vec![&[]]
+                } else {
+                    entries.chunks(SCAN_CHUNK).collect()
+                };
+                for (i, chunk) in chunks.iter().enumerate() {
+                    buf.clear();
+                    encode_scan_chunk_into(i + 1 == chunks.len(), chunk, &mut buf);
+                    if stream.write_all(&buf).is_err() {
+                        return;
+                    }
+                }
+                // Do not keep a chunk-sized buffer for the connection's
+                // lifetime.
+                buf.shrink_to(WRITE_BATCH);
+            }
+        }
+        if next.is_none() {
+            next = rx.recv().ok();
         }
     }
     let _ = stream.flush();

@@ -218,24 +218,75 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Append an `OpBatch` frame carrying `ops` to `buf`: the bytes of
+/// `Frame::OpBatch { ops }.encode()`, without building the frame.
+pub fn encode_op_batch_into(ops: impl ExactSizeIterator<Item = WireOp>, buf: &mut Vec<u8>) {
+    let start = begin_frame(buf, 0x02);
+    buf.reserve(4 + ops.len() * 25);
+    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    for op in ops {
+        buf.extend_from_slice(&op.serial.to_le_bytes());
+        buf.push(op.kind.to_u8());
+        buf.extend_from_slice(&op.key.to_le_bytes());
+        buf.extend_from_slice(&op.arg.to_le_bytes());
+    }
+    end_frame(buf, start);
+}
+
+/// Append a `ScanChunk` frame carrying `entries` to `buf`: the bytes of
+/// `Frame::ScanChunk { last, entries }.encode()`, without building the
+/// frame.
+pub fn encode_scan_chunk_into(last: bool, entries: &[(u64, u64)], buf: &mut Vec<u8>) {
+    let start = begin_frame(buf, 0x85);
+    buf.reserve(5 + entries.len() * 16);
+    buf.push(u8::from(last));
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (k, v) in entries {
+        buf.extend_from_slice(&k.to_le_bytes());
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    end_frame(buf, start);
+}
+
+/// Push a placeholder length prefix and `tag`; returns where the frame
+/// starts, for [`end_frame`].
+fn begin_frame(buf: &mut Vec<u8>, tag: u8) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    buf.push(tag);
+    start
+}
+
+/// Patch the length prefix of the frame that starts at `start`.
+fn end_frame(buf: &mut [u8], start: usize) {
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 impl Frame {
     /// Encode into `[len][tag][body]` bytes ready for the socket.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; 4]; // len patched at the end
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the encoded frame to `buf`, so a sender can reuse one
+    /// buffer and write several frames with one call.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            Frame::OpBatch { ops } => return encode_op_batch_into(ops.iter().copied(), buf),
+            Frame::ScanChunk { last, entries } => {
+                return encode_scan_chunk_into(*last, entries, buf)
+            }
+            _ => {}
+        }
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 4]); // len patched at the end
         match self {
             Frame::Hello { guid } => {
                 buf.push(0x01);
                 buf.extend_from_slice(&guid.to_le_bytes());
-            }
-            Frame::OpBatch { ops } => {
-                buf.push(0x02);
-                buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                for op in ops {
-                    buf.extend_from_slice(&op.serial.to_le_bytes());
-                    buf.push(op.kind.to_u8());
-                    buf.extend_from_slice(&op.key.to_le_bytes());
-                    buf.extend_from_slice(&op.arg.to_le_bytes());
-                }
             }
             Frame::CheckpointReq { variant, log_only } => {
                 buf.push(0x03);
@@ -247,10 +298,11 @@ impl Frame {
             Frame::HelloAck { guid, resume } => {
                 buf.push(0x81);
                 buf.extend_from_slice(&guid.to_le_bytes());
-                put_commit_point(&mut buf, resume);
+                put_commit_point(buf, resume);
             }
             Frame::BatchAck { replies } => {
                 buf.push(0x82);
+                buf.reserve(4 + replies.len() * 18);
                 buf.extend_from_slice(&(replies.len() as u32).to_le_bytes());
                 for r in replies {
                     buf.extend_from_slice(&r.serial.to_le_bytes());
@@ -261,21 +313,13 @@ impl Frame {
             }
             Frame::CommitPoint(cp) => {
                 buf.push(0x83);
-                put_commit_point(&mut buf, cp);
+                put_commit_point(buf, cp);
             }
             Frame::CheckpointAck { started } => {
                 buf.push(0x84);
                 buf.push(u8::from(*started));
             }
-            Frame::ScanChunk { last, entries } => {
-                buf.push(0x85);
-                buf.push(u8::from(*last));
-                buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (k, v) in entries {
-                    buf.extend_from_slice(&k.to_le_bytes());
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            Frame::OpBatch { .. } | Frame::ScanChunk { .. } => unreachable!("encoded above"),
             Frame::Error { code, msg } => {
                 buf.push(0x86);
                 buf.push(*code);
@@ -283,9 +327,7 @@ impl Frame {
                 buf.extend_from_slice(msg.as_bytes());
             }
         }
-        let len = (buf.len() - 4) as u32;
-        buf[..4].copy_from_slice(&len.to_le_bytes());
-        buf
+        end_frame(buf, start);
     }
 
     /// Decode a frame body (`[tag][body]`, without the length prefix).
@@ -364,6 +406,10 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.write_all(&frame.encode())
 }
 
+/// Initial size of a [`FrameReader`]'s buffer; it grows to fit a larger
+/// frame.
+const READ_BUF: usize = 64 * 1024;
+
 /// Incremental frame reader that tolerates read timeouts.
 ///
 /// Sockets in this crate carry a short read timeout so server threads
@@ -372,20 +418,53 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// across calls: [`FrameReader::poll`] returns `Ok(None)` on timeout and
 /// a complete frame once all its bytes arrived. A clean EOF at a frame
 /// boundary reads as `ErrorKind::ConnectionAborted`.
+///
+/// The reader owns one buffer. Each read takes as many bytes as the
+/// socket has ready, so a burst of frames costs one system call, and
+/// frames are parsed straight out of the buffer.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    /// Bytes of the current frame gathered so far; the first 4 are the
-    /// length prefix.
+    /// Received bytes; `buf[start..end]` are not parsed yet. Always fully
+    /// initialised (`len` is the capacity in use).
     buf: Vec<u8>,
-    /// Total bytes the current frame needs (4 until the prefix is in).
-    need: usize,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
     pub fn new() -> Self {
-        FrameReader {
-            buf: Vec::new(),
-            need: 4,
+        FrameReader::default()
+    }
+
+    /// The next complete frame in the buffer, if any.
+    fn parse(&mut self) -> io::Result<Option<Frame>> {
+        let ready = &self.buf[self.start..self.end];
+        let Some(prefix) = ready.get(..4) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
+        if len == 0 || len > MAX_FRAME {
+            return Err(bad(format!("bad frame length {len}")));
+        }
+        let Some(body) = ready.get(4..4 + len) else {
+            return Ok(None);
+        };
+        let frame = Frame::decode(body)?;
+        self.start += 4 + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(frame))
+    }
+
+    /// Bytes the frame at `start` needs in all (4 until its length
+    /// prefix is in).
+    fn needed(&self) -> usize {
+        match self.buf.get(self.start..self.start + 4) {
+            Some(p) if self.end - self.start >= 4 => {
+                4 + u32::from_le_bytes(p.try_into().expect("4-byte prefix")) as usize
+            }
+            _ => 4,
         }
     }
 
@@ -393,30 +472,28 @@ impl FrameReader {
     /// peer hangs up.
     pub fn poll(&mut self, r: &mut impl Read) -> io::Result<Option<Frame>> {
         loop {
-            if self.buf.len() == self.need {
-                if self.need == 4 {
-                    let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
-                    if len == 0 || len > MAX_FRAME {
-                        return Err(bad(format!("bad frame length {len}")));
-                    }
-                    self.need = 4 + len;
-                } else {
-                    let frame = Frame::decode(&self.buf[4..])?;
-                    self.buf.clear();
-                    self.need = 4;
-                    return Ok(Some(frame));
+            if let Some(frame) = self.parse()? {
+                return Ok(Some(frame));
+            }
+            // Make room for the whole pending frame: move the partial
+            // frame to the front, and grow only for a frame larger than
+            // the buffer (`parse` bounded its length).
+            let need = self.needed().max(READ_BUF);
+            if self.buf.len() - self.start < need {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+                if self.buf.len() < need {
+                    self.buf.resize(need, 0);
                 }
             }
-            let mut chunk = [0u8; 64 * 1024];
-            let want = (self.need - self.buf.len()).min(chunk.len());
-            match r.read(&mut chunk[..want]) {
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::ConnectionAborted,
                         "peer closed connection",
                     ))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -561,6 +638,125 @@ mod tests {
                 Frame::CommitPoint(CommitPoint::prefix(1, 9)),
             ]
         );
+    }
+
+    /// A reader that hands out scripted chunks, one per `read` call, with
+    /// `WouldBlock` between chunks.
+    struct Chunks {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+        ready: bool,
+    }
+
+    impl Chunks {
+        fn new(chunks: Vec<Vec<u8>>) -> Self {
+            Chunks {
+                chunks: chunks.into(),
+                reads: 0,
+                ready: true,
+            }
+        }
+    }
+
+    impl Read for Chunks {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.ready, true) {
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "not yet"));
+            }
+            self.ready = false;
+            let Some(mut chunk) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            self.reads += 1;
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.chunks.push_front(chunk.split_off(n));
+                self.ready = true;
+            }
+            Ok(n)
+        }
+    }
+
+    /// Poll until EOF; every frame read along the way.
+    fn drain(fr: &mut FrameReader, r: &mut Chunks) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        loop {
+            match fr.poll(r) {
+                Ok(Some(f)) => frames.push(f),
+                Ok(None) => {}
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::ConnectionAborted);
+                    return frames;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reader_parses_several_frames_from_one_read() {
+        let frames: Vec<Frame> = (0..5)
+            .map(|i| Frame::CommitPoint(CommitPoint::prefix(i, 10 * i)))
+            .collect();
+        let mut bytes = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut bytes);
+        }
+        let mut r = Chunks::new(vec![bytes]);
+        let mut fr = FrameReader::new();
+        assert_eq!(drain(&mut fr, &mut r), frames);
+        assert_eq!(r.reads, 1, "one read delivered all five frames");
+    }
+
+    #[test]
+    fn reader_grows_for_a_frame_larger_than_its_buffer() {
+        let big = Frame::ScanChunk {
+            last: true,
+            entries: (0..2 * READ_BUF as u64).map(|k| (k, k * 3)).collect(),
+        };
+        let bytes = big.encode();
+        assert!(bytes.len() > 4 * READ_BUF);
+        let small = Frame::Hello { guid: 3 };
+        let mut tail = bytes[bytes.len() - 100..].to_vec();
+        small.encode_into(&mut tail);
+        let mut r = Chunks::new(vec![bytes[..bytes.len() - 100].to_vec(), tail]);
+        let mut fr = FrameReader::new();
+        assert_eq!(drain(&mut fr, &mut r), vec![big, small]);
+    }
+
+    #[test]
+    fn reader_joins_a_length_prefix_split_across_reads() {
+        let a = Frame::Hello { guid: 7 };
+        let b = Frame::CheckpointAck { started: true };
+        let mut bytes = a.encode();
+        b.encode_into(&mut bytes);
+        let cut = a.encode().len() + 2; // two bytes into b's prefix
+        let mut r = Chunks::new(vec![
+            bytes[..1].to_vec(),
+            bytes[1..cut].to_vec(),
+            bytes[cut..].to_vec(),
+        ]);
+        let mut fr = FrameReader::new();
+        assert_eq!(drain(&mut fr, &mut r), vec![a, b]);
+    }
+
+    #[test]
+    fn encode_into_appends_and_matches_encode() {
+        let ops: Vec<WireOp> = (1..=3)
+            .map(|s| WireOp {
+                serial: s,
+                kind: OpKind::Rmw,
+                key: s * 2,
+                arg: s * 3,
+            })
+            .collect();
+        let mut buf = vec![0xAA];
+        encode_op_batch_into(ops.iter().copied(), &mut buf);
+        Frame::Goodbye.encode_into(&mut buf);
+        let mut want = vec![0xAA];
+        want.extend(Frame::OpBatch { ops }.encode());
+        want.extend(Frame::Goodbye.encode());
+        assert_eq!(buf, want);
     }
 
     #[test]

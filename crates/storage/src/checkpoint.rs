@@ -13,12 +13,17 @@
 //! torn (truncated) manifest, which reads as "uncommitted", never as a
 //! parse panic.
 //!
+//! [`CheckpointStore::remove_older`] deletes superseded checkpoints
+//! manifest first, so a crash mid-delete also leaves only an uncommitted
+//! directory, which the next deletion pass removes.
+//!
 //! When opened with [`CheckpointStore::open_with`], every file write is
 //! routed through a shared [`FaultInjector`], drawing from the same
 //! operation sequence as any [`FaultDevice`](crate::FaultDevice) holding
 //! that injector — so a test can say "crash on the 2nd storage write from
 //! now" and hit the manifest commit precisely.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -27,6 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cpr_core::CheckpointManifest;
+use parking_lot::Mutex;
 
 use crate::fault::{FaultInjector, IoVerdict};
 
@@ -34,6 +40,10 @@ use crate::fault::{FaultInjector, IoVerdict};
 pub struct CheckpointStore {
     root: PathBuf,
     next_token: AtomicU64,
+    /// Tokens begun and neither committed nor aborted yet: directories
+    /// still being written, which [`CheckpointStore::remove_older`] must
+    /// not touch.
+    open: Mutex<BTreeSet<u64>>,
     injector: Option<Arc<FaultInjector>>,
     metrics: Option<Arc<cpr_metrics::Registry>>,
 }
@@ -56,6 +66,7 @@ impl CheckpointStore {
         Ok(CheckpointStore {
             root,
             next_token: AtomicU64::new(max + 1),
+            open: Mutex::new(BTreeSet::new()),
             injector,
             metrics: None,
         })
@@ -137,20 +148,22 @@ impl CheckpointStore {
         })
     }
 
+    /// Committed tokens under `root`, unordered.
     fn scan_tokens(root: &Path) -> io::Result<Vec<u64>> {
+        let mut tokens = Self::dir_tokens(root)?;
+        // Committed only if the manifest exists.
+        tokens.retain(|t| root.join(format!("cpt.{t}")).join("manifest.json").exists());
+        Ok(tokens)
+    }
+
+    /// Tokens of every `cpt.<token>` directory under `root`, committed or
+    /// not, unordered.
+    fn dir_tokens(root: &Path) -> io::Result<Vec<u64>> {
         let mut tokens = Vec::new();
         for entry in fs::read_dir(root)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(tok) = name.strip_prefix("cpt.") else {
-                continue;
-            };
-            let Ok(tok) = tok.parse::<u64>() else {
-                continue;
-            };
-            // Committed only if the manifest exists.
-            if entry.path().join("manifest.json").exists() {
+            let name = entry?.file_name();
+            let tok = name.to_str().and_then(|n| n.strip_prefix("cpt."));
+            if let Some(Ok(tok)) = tok.map(str::parse::<u64>) {
                 tokens.push(tok);
             }
         }
@@ -164,7 +177,14 @@ impl CheckpointStore {
                 return Err(inj.error());
             }
         }
-        let token = self.next_token.fetch_add(1, Ordering::AcqRel);
+        // Allocated under the lock, so a token below any later one is
+        // already in `open` when that later one is allocated.
+        let token = {
+            let mut open = self.open.lock();
+            let token = self.next_token.fetch_add(1, Ordering::AcqRel);
+            open.insert(token);
+            token
+        };
         fs::create_dir_all(self.dir(token))?;
         Ok(token)
     }
@@ -174,6 +194,7 @@ impl CheckpointStore {
     /// this is a no-op — the frozen filesystem keeps whatever (possibly
     /// torn) state the crash left, exactly as a real power cut would.
     pub fn abort(&self, token: u64) -> io::Result<()> {
+        self.open.lock().remove(&token);
         if let Some(inj) = &self.injector {
             if inj.crashed() {
                 return Ok(());
@@ -226,7 +247,45 @@ impl CheckpointStore {
     /// `manifest.json` that recovery must treat as uncommitted).
     pub fn commit(&self, manifest: &CheckpointManifest) -> io::Result<()> {
         let path = self.dir(manifest.token).join("manifest.json");
-        self.write_injected(&path, manifest.to_json().as_bytes())
+        self.write_injected(&path, manifest.to_json().as_bytes())?;
+        self.open.lock().remove(&manifest.token);
+        Ok(())
+    }
+
+    /// Delete every checkpoint directory whose token is below `below`,
+    /// except `keep` and checkpoints still being written. Uncommitted
+    /// leftovers (an earlier crash) go too. Returns how many were
+    /// deleted.
+    ///
+    /// Each directory loses its `manifest.json` first, so one that a
+    /// crash leaves half-deleted reads as uncommitted. Under fault
+    /// injection each of the two steps is one *delete* operation (see
+    /// [`FaultInjector::next_delete_io`]); a crash stops the pass and
+    /// freezes the directory as it is.
+    pub fn remove_older(&self, below: u64, keep: Option<u64>) -> io::Result<usize> {
+        let mut doomed = Self::dir_tokens(&self.root)?;
+        doomed.retain(|&t| t < below && Some(t) != keep);
+        doomed.sort_unstable();
+        let mut removed = 0;
+        for tok in doomed {
+            if self.open.lock().contains(&tok) {
+                continue;
+            }
+            self.delete_step()?;
+            ignore_missing(fs::remove_file(self.file(tok, "manifest.json")))?;
+            self.delete_step()?;
+            ignore_missing(fs::remove_dir_all(self.dir(tok)))?;
+            removed += 1;
+        }
+        Ok(removed)
+    }
+
+    /// Draw one delete operation's verdict from the fault injector.
+    fn delete_step(&self) -> io::Result<()> {
+        match &self.injector {
+            Some(inj) if inj.next_delete_io() != IoVerdict::Ok => Err(inj.error()),
+            _ => Ok(()),
+        }
     }
 
     /// Load the manifest of `token`, if committed.
@@ -279,6 +338,13 @@ impl CheckpointStore {
 
     pub fn root(&self) -> &Path {
         &self.root
+    }
+}
+
+fn ignore_missing(r: io::Result<()>) -> io::Result<()> {
+    match r {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        r => r,
     }
 }
 
@@ -456,6 +522,73 @@ mod tests {
         store.abort(t).unwrap();
         assert!(store.file(t, "manifest.json").exists());
         assert!(store.begin().is_err(), "new checkpoints impossible after crash");
+    }
+
+    #[test]
+    fn remove_older_keeps_newer_kept_and_open_checkpoints() {
+        let dir = tempfile::tempdir().unwrap();
+        let store = CheckpointStore::open(dir.path()).unwrap();
+        let open = store.begin().unwrap(); // still being written
+        let mut tokens = Vec::new();
+        for v in 1..=4 {
+            let t = store.begin().unwrap();
+            store.write_file(t, "index.dat", b"idx").unwrap();
+            store
+                .commit(&manifest(t, v, CheckpointKind::FoldOver))
+                .unwrap();
+            tokens.push(t);
+        }
+        // A leftover from a crash: data but no manifest.
+        std::fs::create_dir_all(store.dir(0)).unwrap();
+        std::fs::write(store.file(0, "index.dat"), b"junk").unwrap();
+        let removed = store.remove_older(tokens[3], Some(tokens[1])).unwrap();
+        assert_eq!(removed, 3, "tokens 0, {} and {}", tokens[0], tokens[2]);
+        assert!(!store.dir(0).exists());
+        assert!(
+            store.dir(open).exists(),
+            "open checkpoints are never deleted"
+        );
+        assert!(!store.dir(tokens[0]).exists());
+        assert!(store.dir(tokens[1]).exists(), "kept");
+        assert!(!store.dir(tokens[2]).exists());
+        assert_eq!(store.tokens().unwrap(), vec![tokens[1], tokens[3]]);
+        // Once aborted, the open checkpoint goes too.
+        store.abort(open).unwrap();
+        std::fs::create_dir_all(store.dir(open)).unwrap();
+        assert_eq!(store.remove_older(tokens[3], Some(tokens[1])).unwrap(), 1);
+        assert!(!store.dir(open).exists());
+    }
+
+    #[test]
+    fn crash_mid_delete_leaves_an_uncommitted_directory() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        let dir = tempfile::tempdir().unwrap();
+        let inj = std::sync::Arc::new(FaultInjector::new(FaultPlan::new()));
+        let store =
+            CheckpointStore::open_with(dir.path(), Some(std::sync::Arc::clone(&inj))).unwrap();
+        let t1 = store.begin().unwrap();
+        store.write_file(t1, "index.dat", b"idx").unwrap();
+        store
+            .commit(&manifest(t1, 1, CheckpointKind::FoldOver))
+            .unwrap();
+        let t2 = store.begin().unwrap();
+        store
+            .commit(&manifest(t2, 2, CheckpointKind::FoldOver))
+            .unwrap();
+        let writes = inj.op_count();
+        // Delete op 0 removes t1's manifest; crash at op 1, its directory.
+        inj.crash_delete_after(1);
+        assert!(store.remove_older(t2, None).is_err());
+        assert!(inj.crashed());
+        assert_eq!(inj.op_count(), writes, "deletes draw no write-op numbers");
+        assert!(store.file(t1, "index.dat").exists(), "frozen mid-delete");
+        assert!(!store.file(t1, "manifest.json").exists());
+        assert_eq!(store.latest().unwrap().unwrap().token, t2);
+        assert_eq!(store.tokens().unwrap(), vec![t2]);
+        // A fault-free pass later removes the leftover.
+        let store = CheckpointStore::open(dir.path()).unwrap();
+        assert_eq!(store.remove_older(t2, None).unwrap(), 1);
+        assert!(!store.dir(t1).exists());
     }
 
     #[test]

@@ -158,6 +158,10 @@ pub struct FaultInjector {
     read_faults: Mutex<Vec<Fault>>,
     /// Read-op number at which a crash fires (`u64::MAX` = disarmed).
     read_crash_at: AtomicU64,
+    /// Deletions (checkpoint retention) count separately too.
+    delete_ops: AtomicU64,
+    /// Delete-op number at which a crash fires (`u64::MAX` = disarmed).
+    delete_crash_at: AtomicU64,
     seed: u64,
     /// Operations that drew a non-[`IoVerdict::Ok`] verdict — surfaced
     /// as `faults_injected` in metrics reports.
@@ -198,6 +202,8 @@ impl FaultInjector {
             read_ops: AtomicU64::new(0),
             read_faults: Mutex::new(Vec::new()),
             read_crash_at: AtomicU64::new(u64::MAX),
+            delete_ops: AtomicU64::new(0),
+            delete_crash_at: AtomicU64::new(u64::MAX),
             seed: plan.seed,
             hits: AtomicU64::new(0),
         }
@@ -325,6 +331,27 @@ impl FaultInjector {
                 Fault::Delay { millis, .. } => IoVerdict::Delay { millis },
                 Fault::Crash { .. } => IoVerdict::Crashed,
             };
+        }
+        IoVerdict::Ok
+    }
+
+    /// Crash at the `n`-th *delete* operation from now (0 = the next
+    /// one): every subsequent I/O fails and the on-disk state freezes.
+    /// Deletions have their own counter ([`FaultInjector::next_delete_io`]),
+    /// so arming one never shifts write-op numbering.
+    pub fn crash_delete_after(&self, n: u64) {
+        let at = self.delete_ops.load(Ordering::Acquire) + n;
+        self.delete_crash_at.fetch_min(at, Ordering::AcqRel);
+    }
+
+    /// Consume one *delete* operation number: `Crashed` once the
+    /// simulated crash has fired (or fires here), `Ok` otherwise.
+    pub fn next_delete_io(&self) -> IoVerdict {
+        let op = self.delete_ops.fetch_add(1, Ordering::AcqRel);
+        if self.crashed() || op >= self.delete_crash_at.load(Ordering::Acquire) {
+            self.crashed.store(true, Ordering::Release);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return IoVerdict::Crashed;
         }
         IoVerdict::Ok
     }

@@ -30,7 +30,7 @@ use cpr::faster::{
     VersionGrain,
 };
 use cpr::memdb::{MemDbBuilder, Access, Durability, MemDb, Session, TxnRequest};
-use cpr::storage::{FaultInjector, FaultPlan};
+use cpr::storage::{CheckpointStore, FaultInjector, FaultPlan};
 
 const KEYS: u64 = 16;
 const SPLIT: u64 = 0x9e37_79b9_7f4a_7c15; // golden-ratio stream splitter
@@ -694,6 +694,111 @@ fn seeded_fault_plans_recover_a_committed_prefix() {
     ] {
         torture_memdb(seed);
         torture_faster(seed ^ SPLIT);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint retention: once a commit is published, the checkpoints it
+// superseded are deleted, manifest first. A crash at either step of that
+// deletion must leave a store that recovers exactly the newest committed
+// prefix, and the half-deleted directory must read as uncommitted until
+// a later commit removes it.
+// ---------------------------------------------------------------------------
+
+fn faster_retention_crash_case(seed: u64, crash_at_delete: u64) {
+    let tag = format!("faster retention crash@delete{crash_at_delete} seed={seed:#018x}");
+    println!("{tag}");
+    let dir = tempfile::tempdir().unwrap();
+    let root = dir.path().join("checkpoints");
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let mut ops = gen_ops(seed, 40);
+    let ops_b = gen_ops(seed ^ SPLIT, 25);
+    let first;
+    {
+        let kv: FasterKv<u64> = faster_opts(dir.path(), Some(inj.clone())).open().unwrap();
+        let mut s = kv.start_session(7);
+        for &op in &ops {
+            faster_exec(&mut s, op);
+        }
+        assert!(
+            kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
+        assert!(
+            faster_pump(&kv, &mut s, 1, 0, &tag),
+            "first commit must land: {tag}"
+        );
+        first = CheckpointStore::open(&root).unwrap().tokens().unwrap();
+        assert_eq!(first.len(), 1, "{tag}");
+        for &op in &ops_b {
+            faster_exec(&mut s, op);
+        }
+        ops.extend(ops_b);
+        // Delete op 0 removes the first checkpoint's manifest, op 1 its
+        // directory.
+        inj.crash_delete_after(crash_at_delete);
+        assert!(
+            kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
+        assert!(
+            faster_pump(&kv, &mut s, 2, 0, &tag),
+            "second commit must land: {tag}"
+        );
+        let deadline = Instant::now() + PUMP_DEADLINE;
+        while !inj.crashed() {
+            assert!(
+                Instant::now() < deadline,
+                "retention never reached the crash: {tag}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    // Frozen mid-delete: the first directory is still there, with its
+    // manifest only if the crash came before the manifest's deletion.
+    assert!(root.join(format!("cpt.{}", first[0])).exists(), "{tag}");
+    let committed = CheckpointStore::open(&root).unwrap().tokens().unwrap();
+    assert_eq!(
+        committed.len(),
+        if crash_at_delete == 0 { 2 } else { 1 },
+        "{tag}"
+    );
+
+    let (kv, manifest) = faster_opts(dir.path(), None).recover().unwrap();
+    assert_eq!(manifest.map(|m| m.version), Some(2), "{tag}");
+    let (mut s, cpr_point) = kv.continue_session(7);
+    assert_eq!(cpr_point, ops.len() as u64, "{tag}");
+    let model = model_replay(&ops);
+    for key in 0..KEYS {
+        assert_eq!(
+            faster_read(&mut s, key, &tag),
+            model.get(&key).copied(),
+            "key {key}: {tag}"
+        );
+    }
+    // The next commit removes the leftover.
+    assert!(
+        kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+        "{tag}"
+    );
+    assert!(
+        faster_pump(&kv, &mut s, 3, 0, &tag),
+        "third commit must land: {tag}"
+    );
+    let deadline = Instant::now() + PUMP_DEADLINE;
+    while std::fs::read_dir(&root).unwrap().count() > 1 {
+        assert!(Instant::now() < deadline, "leftover never removed: {tag}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// FASTER checkpoint retention: crash before, then after, the superseded
+/// checkpoint's manifest is deleted.
+#[test]
+fn faster_retention_crash_mid_delete() {
+    let base = 0x4e7a_1000_0000_0003u64;
+    for k in 0..2 {
+        faster_retention_crash_case(base.wrapping_add(k), k);
     }
 }
 
