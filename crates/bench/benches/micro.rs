@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cpr_core::NoWaitLock;
 use cpr_epoch::EpochManager;
 use cpr_faster::index::{key_hash, HashIndex};
-use cpr_faster::{FasterKv, FasterBuilder, HlogConfig};
+use cpr_faster::{FasterBuilder, FasterKv, HlogConfig};
 use cpr_memdb::{Access, CommitLog, Durability, MemDb, TxnRequest, Wal};
 use cpr_workload::keys::{KeyDist, Sampler};
 
@@ -98,10 +98,10 @@ fn bench_wal(c: &mut Criterion) {
 fn bench_memdb_txn(c: &mut Criterion) {
     let dir = tempfile::tempdir().unwrap();
     let db: MemDb<u64> = MemDb::builder(Durability::Cpr)
-            .dir(dir.path())
-            .capacity(1 << 16)
+        .dir(dir.path())
+        .capacity(1 << 16)
         .open()
-    .unwrap();
+        .unwrap();
     for k in 0..10_000u64 {
         db.load(k, k);
     }
@@ -125,15 +125,15 @@ fn bench_memdb_txn(c: &mut Criterion) {
 fn bench_faster_ops(c: &mut Criterion) {
     let dir = tempfile::tempdir().unwrap();
     let kv: FasterKv<u64> = FasterBuilder::u64_sums(dir.path())
-            .hlog(HlogConfig {
-                page_bits: 16,
-                memory_pages: 256,
-                mutable_pages: 230,
-                value_size: 8,
-            })
-            .index_buckets(1 << 13)
+        .hlog(HlogConfig {
+            page_bits: 16,
+            memory_pages: 256,
+            mutable_pages: 230,
+            value_size: 8,
+        })
+        .index_buckets(1 << 13)
         .open()
-    .unwrap();
+        .unwrap();
     let mut s = kv.start_session(1);
     for k in 0..50_000u64 {
         s.upsert(k, k);

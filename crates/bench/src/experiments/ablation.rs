@@ -30,11 +30,11 @@ fn incremental_vs_full(args: &Args) {
     for incremental in [false, true] {
         let dir = tempfile::tempdir().unwrap();
         let db: MemDb<u64> = MemDb::builder(Durability::Cpr)
-                .dir(dir.path())
-                .capacity(keys as usize * 2)
-                .incremental(incremental)
-                .open()
-                .unwrap();
+            .dir(dir.path())
+            .capacity(keys as usize * 2)
+            .incremental(incremental)
+            .open()
+            .unwrap();
         for k in 0..keys {
             db.load(k, k);
         }

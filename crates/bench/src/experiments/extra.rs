@@ -29,16 +29,23 @@ fn value_size_sweep(args: &Args) {
     // 8-byte values.
     {
         let (mops, log_mb) = run_fixed::<u64>(keys, seconds, 8, |old, d| old.wrapping_add(d));
-        r.row(vec!["8".into(), format!("{mops:.3}"), format!("{log_mb:.2}")]);
+        r.row(vec![
+            "8".into(),
+            format!("{mops:.3}"),
+            format!("{log_mb:.2}"),
+        ]);
     }
     // 104-byte values (13 words — the paper's "100 byte" point).
     {
-        let (mops, log_mb) =
-            run_fixed::<[u64; 13]>(keys, seconds, 104, |mut old, d| {
-                old[0] = old[0].wrapping_add(d[0]);
-                old
-            });
-        r.row(vec!["104".into(), format!("{mops:.3}"), format!("{log_mb:.2}")]);
+        let (mops, log_mb) = run_fixed::<[u64; 13]>(keys, seconds, 104, |mut old, d| {
+            old[0] = old[0].wrapping_add(d[0]);
+            old
+        });
+        r.row(vec![
+            "104".into(),
+            format!("{mops:.3}"),
+            format!("{log_mb:.2}"),
+        ]);
     }
     r.print();
 }
@@ -90,10 +97,7 @@ fn run_fixed<V: cpr_core::Pod + From8>(
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
-    (
-        ops as f64 / elapsed / 1e6,
-        kv.log_tail() as f64 / 1e6,
-    )
+    (ops as f64 / elapsed / 1e6, kv.log_tail() as f64 / 1e6)
 }
 
 /// Build a value from a u64 seed (bench-local helper trait).
@@ -121,7 +125,13 @@ fn larger_than_memory(args: &Args) {
     // Working set: keys × 24 B records ≈ 4.8 MB at the default key count.
     let mut r = Report::new(
         "Extra: larger-than-memory (uniform 90:10 reads)",
-        &["memory_MB", "workingset_MB", "Mops", "pending_ops", "pending_%"],
+        &[
+            "memory_MB",
+            "workingset_MB",
+            "Mops",
+            "pending_ops",
+            "pending_%",
+        ],
     );
     for memory_pages in [512usize, 128, 64, 32] {
         let dir = tempfile::tempdir().unwrap();
@@ -146,10 +156,7 @@ fn larger_than_memory(args: &Args) {
             }
             s.refresh();
         }
-        let mut gen = YcsbGenerator::new(
-            YcsbConfig::read_update(keys, KeyDist::Uniform, 90),
-            11,
-        );
+        let mut gen = YcsbGenerator::new(YcsbConfig::read_update(keys, KeyDist::Uniform, 90), 11);
         let started = Instant::now();
         let mut ops = 0u64;
         let mut completions = Vec::new();

@@ -34,7 +34,12 @@ pub fn net(args: &Args) {
              {read_pct}% reads"
         ),
         &[
-            "threads", "ops", "secs", "mops_s", "batch_p50_us", "batch_p99_us",
+            "threads",
+            "ops",
+            "secs",
+            "mops_s",
+            "batch_p50_us",
+            "batch_p99_us",
         ],
     );
     for &t in &threads {

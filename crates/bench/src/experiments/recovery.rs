@@ -280,7 +280,10 @@ fn results_json(
                 ("threads".into(), Value::UInt(r.threads as u64)),
                 ("fill_s".into(), Value::Float(r.fill_s)),
                 ("flush_s".into(), Value::Float(r.flush_s)),
-                ("flush_speedup".into(), Value::Float(base.flush_s / r.flush_s)),
+                (
+                    "flush_speedup".into(),
+                    Value::Float(base.flush_s / r.flush_s),
+                ),
                 ("recover_s".into(), Value::Float(r.recover_s)),
                 (
                     "recover_speedup".into(),
@@ -318,10 +321,7 @@ fn results_json(
             "read_latency_us".into(),
             Value::UInt(read_lat.as_micros() as u64),
         ),
-        (
-            "state_identical_across_threads".into(),
-            Value::Bool(true),
-        ),
+        ("state_identical_across_threads".into(), Value::Bool(true)),
         ("runs".into(), Value::Array(runs)),
     ]));
     serde_json::to_string_pretty(&doc).expect("serialize recovery report")

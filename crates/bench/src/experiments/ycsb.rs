@@ -60,7 +60,14 @@ pub fn ycsb(args: &Args) {
     let mut r = Report::new(
         "YCSB with live metrics (cpr-metrics end-to-end)",
         &[
-            "engine", "mtps", "ops", "p50_us", "p90_us", "p99_us", "ckpts", "epoch_bumps",
+            "engine",
+            "mtps",
+            "ops",
+            "p50_us",
+            "p90_us",
+            "p99_us",
+            "ckpts",
+            "epoch_bumps",
             "mb_written",
         ],
     );

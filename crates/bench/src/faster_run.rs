@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cpr_faster::{CheckpointVariant, FasterKv, FasterBuilder, HlogConfig, Status, VersionGrain};
+use cpr_faster::{CheckpointVariant, FasterBuilder, FasterKv, HlogConfig, Status, VersionGrain};
 use cpr_workload::keys::KeyDist;
 use cpr_workload::ycsb::{OpKind, YcsbConfig, YcsbGenerator};
 

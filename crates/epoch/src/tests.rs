@@ -249,7 +249,10 @@ fn release_stale_fires_blocked_actions() {
     let f = fired.clone();
     g1.bump_epoch(move || f.store(true, Ordering::SeqCst));
     g1.refresh();
-    assert!(!fired.load(Ordering::SeqCst), "parked guard blocks the drain");
+    assert!(
+        !fired.load(Ordering::SeqCst),
+        "parked guard blocks the drain"
+    );
     mgr.release_stale(parked.slot());
     g1.refresh();
     assert!(fired.load(Ordering::SeqCst));

@@ -125,7 +125,8 @@ pub(crate) fn recover<V: Pod>(
         }
         device.sync()?;
         if let Some(t0) = t0 {
-            opts.metrics.record_phase("recovery.normalize", 1, t0.elapsed());
+            opts.metrics
+                .record_phase("recovery.normalize", 1, t0.elapsed());
         }
     }
 
@@ -162,7 +163,8 @@ pub(crate) fn recover<V: Pod>(
     let t_scan = metrics_on.then(std::time::Instant::now);
     let merged = scan_partitioned(&device, &layout, rec_size, vnext13, s, e, threads)?;
     if let Some(t0) = t_scan {
-        opts.metrics.record_phase("recovery.scan", threads, t0.elapsed());
+        opts.metrics
+            .record_phase("recovery.scan", threads, t0.elapsed());
     }
 
     // Apply summaries to the index in sorted hash order (BTreeMap
@@ -241,7 +243,15 @@ fn scan_partitioned(
             buf.resize((cend - cstart) as usize, 0);
             device.read_at(cstart, &mut buf)?;
             scan_chunk(
-                &buf, cstart, cend, layout, rec_size, vnext13, device, &mut local, &mut markers,
+                &buf,
+                cstart,
+                cend,
+                layout,
+                rec_size,
+                vnext13,
+                device,
+                &mut local,
+                &mut markers,
             );
         }
         for m in markers {

@@ -403,7 +403,10 @@ impl<V: Pod> FasterKv<V> {
     }
 
     /// Open a fresh store (truncates any existing log).
-    #[deprecated(since = "0.2.0", note = "use `FasterKv::builder(dir)...open()` instead")]
+    #[deprecated(
+        since = "0.2.0",
+        note = "use `FasterKv::builder(dir)...open()` instead"
+    )]
     pub fn open(opts: FasterOptions<V>) -> io::Result<Self> {
         Self::open_inner(opts)
     }
@@ -552,7 +555,12 @@ impl<V: Pod> FasterKv<V> {
     /// The guid's durable commit point: the serial below which every op
     /// is guaranteed recovered after a crash right now.
     pub fn durable_point(&self, guid: u64) -> u64 {
-        self.inner.durable_points.lock().get(&guid).copied().unwrap_or(0)
+        self.inner
+            .durable_points
+            .lock()
+            .get(&guid)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Request a CPR commit (paper Fig. 9a). Returns `false` if one is
@@ -622,7 +630,11 @@ impl<V: Pod> FasterKv<V> {
 
     /// Block until the commit of `version` is durable (sessions must keep
     /// refreshing). Returns `false` on timeout.
-    pub fn wait_for_version(&self, version: impl Into<CheckpointVersion>, timeout: Duration) -> bool {
+    pub fn wait_for_version(
+        &self,
+        version: impl Into<CheckpointVersion>,
+        timeout: Duration,
+    ) -> bool {
         let version = version.into();
         let deadline = Instant::now() + timeout;
         let mut g = self.inner.commit_lock.lock();
@@ -776,7 +788,10 @@ pub(crate) fn start_checkpoint<V: Pod>(
         phase_marks: vec![(Phase::Prepare, Duration::ZERO)],
     });
     if inner.metrics_on {
-        inner.metrics.checkpoints.begin(v, ckpt_kind_label(variant, log_only));
+        inner
+            .metrics
+            .checkpoints
+            .begin(v, ckpt_kind_label(variant, log_only));
     }
 
     let i1 = Arc::clone(inner);

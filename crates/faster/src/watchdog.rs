@@ -200,11 +200,7 @@ fn evict<V: Pod>(db: &Arc<StoreInner<V>>, idx: usize, guid: u64, v: u64) {
 /// map entry is the ownership token: the owner's `finish_pending` finds
 /// it gone and releases nothing, so no protection is dropped twice.
 fn cancel_pendings<V: Pod>(db: &Arc<StoreInner<V>>, idx: usize) -> Vec<OfflineGuard> {
-    let entries = db
-        .offline_pending
-        .lock()
-        .remove(&idx)
-        .unwrap_or_default();
+    let entries = db.offline_pending.lock().remove(&idx).unwrap_or_default();
     for g in &entries {
         if let Some(b) = g.latch {
             db.latches[b].release_shared();

@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cpr_faster::{
-    CheckpointVariant, FasterBuilder, HlogConfig, ReadResult, VersionGrain,
-};
+use cpr_faster::{CheckpointVariant, FasterBuilder, HlogConfig, ReadResult, VersionGrain};
 
 fn opts(dir: &std::path::Path, grain: VersionGrain) -> FasterBuilder<u64> {
     FasterBuilder::u64_sums(dir)
@@ -61,8 +59,7 @@ fn storm(grain: VersionGrain) {
                     }
                     // Drain before exit.
                     for _ in 0..10_000 {
-                        if s.pending_len() == 0 && kv.state().0 == cpr_core::Phase::Rest
-                        {
+                        if s.pending_len() == 0 && kv.state().0 == cpr_core::Phase::Rest {
                             break;
                         }
                         s.refresh();

@@ -3,9 +3,7 @@
 
 use std::time::Duration;
 
-use cpr_faster::{
-    CheckpointVariant, FasterBuilder, HlogConfig, ReadResult, VersionGrain,
-};
+use cpr_faster::{CheckpointVariant, FasterBuilder, HlogConfig, ReadResult, VersionGrain};
 
 fn opts(dir: &std::path::Path) -> FasterBuilder<u64> {
     FasterBuilder::u64_sums(dir)
@@ -158,7 +156,10 @@ fn grain_can_change_across_restarts() {
             s.refresh();
         }
     }
-    let (kv, _) = opts(dir.path()).grain(VersionGrain::Coarse).recover().unwrap();
+    let (kv, _) = opts(dir.path())
+        .grain(VersionGrain::Coarse)
+        .recover()
+        .unwrap();
     let (mut s, _) = kv.continue_session(1);
     assert_eq!(read_now(&mut s, 5), Some(50));
     // And commit again under the new grain. Note reads are operations

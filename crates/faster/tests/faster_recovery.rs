@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cpr_faster::{
-    CheckpointVariant, FasterBuilder, HlogConfig, ReadResult, VersionGrain,
-};
+use cpr_faster::{CheckpointVariant, FasterBuilder, HlogConfig, ReadResult, VersionGrain};
 
 fn opts(dir: &std::path::Path, grain: VersionGrain) -> FasterBuilder<u64> {
     FasterBuilder::u64_sums(dir)

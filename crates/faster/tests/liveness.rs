@@ -11,22 +11,20 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use cpr_faster::{
-    CheckpointVariant, Clock, FasterKv, FasterBuilder, FasterSession, HlogConfig, LivenessConfig,
+    CheckpointVariant, Clock, FasterBuilder, FasterKv, FasterSession, HlogConfig, LivenessConfig,
     ReadResult, Status, VirtualClock,
 };
 
 const GRACE: u64 = 100;
 
 fn liveness_opts(dir: &std::path::Path, clock: &Arc<VirtualClock>) -> FasterBuilder<u64> {
-    FasterBuilder::u64_sums(dir)
-        .refresh_every(4)
-        .liveness(
-            LivenessConfig::with_clock(Arc::clone(clock) as Arc<dyn Clock>)
-                .grace_ticks(GRACE)
-                .backoff_base_ticks(10)
-                .backoff_jitter_ticks(5)
-                .seed(42),
-        )
+    FasterBuilder::u64_sums(dir).refresh_every(4).liveness(
+        LivenessConfig::with_clock(Arc::clone(clock) as Arc<dyn Clock>)
+            .grace_ticks(GRACE)
+            .backoff_base_ticks(10)
+            .backoff_jitter_ticks(5)
+            .seed(42),
+    )
 }
 
 /// Same, but with a log small enough that early pages leave memory and
@@ -120,7 +118,11 @@ fn run_idle_straggler(variant: CheckpointVariant) {
     assert!(manifest.is_some());
     let mut s = kv2.start_session(2);
     for k in 100..110u64 {
-        assert_eq!(read_eventually(&mut s, k), Some(1000 + k), "straggler prefix lost");
+        assert_eq!(
+            read_eventually(&mut s, k),
+            Some(1000 + k),
+            "straggler prefix lost"
+        );
     }
 }
 
@@ -183,7 +185,11 @@ fn run_mid_op_eviction(variant: CheckpointVariant) {
     let (kv2, _) = liveness_opts(dir.path(), &clock).recover().unwrap();
     let mut s = kv2.start_session(2);
     for k in 200..205u64 {
-        assert_eq!(read_eventually(&mut s, k), Some(2000 + k), "committed prefix lost");
+        assert_eq!(
+            read_eventually(&mut s, k),
+            Some(2000 + k),
+            "committed prefix lost"
+        );
     }
     assert_eq!(
         read_eventually(&mut s, 299),

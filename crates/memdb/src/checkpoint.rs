@@ -102,7 +102,11 @@ fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<(u64, Vec<Sessi
 
     let buckets = inner.table.bucket_count();
     let threads = inner.opts.capture_threads.clamp(1, buckets.max(1));
-    let t0 = inner.opts.metrics.is_enabled().then(std::time::Instant::now);
+    let t0 = inner
+        .opts
+        .metrics
+        .is_enabled()
+        .then(std::time::Instant::now);
     let shards: Vec<Option<(Vec<u8>, u64)>> = if threads == 1 {
         vec![capture_shard(inner, v, base, 0..buckets)]
     } else {
@@ -292,7 +296,11 @@ pub(crate) fn load<V: DbValue>(
     };
 
     let threads = inner.opts.recovery_threads.clamp(1, count.max(1));
-    let t0 = inner.opts.metrics.is_enabled().then(std::time::Instant::now);
+    let t0 = inner
+        .opts
+        .metrics
+        .is_enabled()
+        .then(std::time::Instant::now);
     let result = if threads == 1 {
         load_range(0, count)
     } else {

@@ -200,7 +200,9 @@ pub struct MemDbBuilder<V: DbValue> {
 
 impl<V: DbValue> std::fmt::Debug for MemDbBuilder<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemDbBuilder").field("opts", &self.opts).finish()
+        f.debug_struct("MemDbBuilder")
+            .field("opts", &self.opts)
+            .finish()
     }
 }
 
@@ -377,7 +379,10 @@ impl<V: DbValue> MemDb<V> {
     }
 
     /// Open a fresh database.
-    #[deprecated(since = "0.2.0", note = "use `MemDb::builder(durability)…open()` instead")]
+    #[deprecated(
+        since = "0.2.0",
+        note = "use `MemDb::builder(durability)…open()` instead"
+    )]
     pub fn open(opts: MemDbOptions) -> io::Result<Self> {
         Self::open_at_version(opts, 1)
     }
@@ -602,7 +607,12 @@ impl<V: DbValue> MemDb<V> {
     /// The guid's durable commit point: the serial below which every op is
     /// guaranteed recovered after a crash right now.
     pub fn durable_point(&self, guid: u64) -> u64 {
-        self.inner.durable_points.lock().get(&guid).copied().unwrap_or(0)
+        self.inner
+            .durable_points
+            .lock()
+            .get(&guid)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Register a commit observer: called with the committed version and
@@ -700,7 +710,11 @@ impl<V: DbValue> MemDb<V> {
     /// Block until the checkpoint of `version` is durable. Requires
     /// worker sessions to keep refreshing (or none to be registered).
     /// Returns `false` on timeout.
-    pub fn wait_for_version(&self, version: impl Into<CheckpointVersion>, timeout: Duration) -> bool {
+    pub fn wait_for_version(
+        &self,
+        version: impl Into<CheckpointVersion>,
+        timeout: Duration,
+    ) -> bool {
         let version = version.into();
         let deadline = Instant::now() + timeout;
         let mut g = self.inner.commit_lock.lock();
@@ -844,12 +858,19 @@ pub(crate) fn ckpt_kind_label<V: DbValue>(inner: &DbInner<V>) -> &'static str {
 /// Shared by [`MemDb::request_commit`] and the watchdog's retries.
 pub(crate) fn start_commit<V: DbValue>(inner: &Arc<DbInner<V>>) -> bool {
     let v = inner.state.version();
-    if !inner.state.transition((Phase::Rest, v), (Phase::Prepare, v)) {
+    if !inner
+        .state
+        .transition((Phase::Rest, v), (Phase::Prepare, v))
+    {
         return false;
     }
     let metrics_on = inner.opts.metrics.is_enabled();
     if metrics_on {
-        inner.opts.metrics.checkpoints.begin(v, ckpt_kind_label(inner));
+        inner
+            .opts
+            .metrics
+            .checkpoints
+            .begin(v, ckpt_kind_label(inner));
     }
     let cond = {
         let inner = Arc::clone(inner);

@@ -254,9 +254,7 @@ mod tests {
         for shards in [1usize, 3, 8] {
             let mut pieced = Vec::new();
             for w in 0..shards {
-                t.for_each_in_buckets(n * w / shards..n * (w + 1) / shards, |k, _| {
-                    pieced.push(k)
-                });
+                t.for_each_in_buckets(n * w / shards..n * (w + 1) / shards, |k, _| pieced.push(k));
             }
             assert_eq!(pieced, whole, "{shards} shards");
         }

@@ -176,9 +176,7 @@ fn abort_checkpoint<V: DbValue>(
     now: u64,
 ) {
     let aborted = match phase {
-        Phase::Prepare | Phase::InProgress => {
-            db.state.transition((phase, v), (Phase::Rest, v + 1))
-        }
+        Phase::Prepare | Phase::InProgress => db.state.transition((phase, v), (Phase::Rest, v + 1)),
         // The capture thread owns the WaitFlush → Rest transition: request
         // an abort and let its failure path complete it. `swap` keeps a
         // still-pending request from being counted twice.

@@ -231,11 +231,7 @@ fn multiple_sequential_commits() {
 #[test]
 fn commit_with_no_sessions_completes() {
     let dir = tempfile::tempdir().unwrap();
-    let opts = || {
-        MemDb::builder(Durability::Cpr)
-            .dir(dir.path())
-            .capacity(64)
-    };
+    let opts = || MemDb::builder(Durability::Cpr).dir(dir.path()).capacity(64);
     let db: MemDb<u64> = opts().open().unwrap();
     db.load(1, 11);
     db.load(2, 22);
@@ -451,11 +447,7 @@ fn multi_key_txn_atomicity_across_recovery() {
 #[test]
 fn wide_values_roundtrip_through_checkpoint() {
     let dir = tempfile::tempdir().unwrap();
-    let opts = || {
-        MemDb::builder(Durability::Cpr)
-            .dir(dir.path())
-            .capacity(64)
-    };
+    let opts = || MemDb::builder(Durability::Cpr).dir(dir.path()).capacity(64);
     let db: MemDb<[u64; 8]> = opts().open().unwrap();
     for k in 0..10u64 {
         db.load(k, <[u64; 8] as cpr_memdb::DbValue>::from_seed(k * 7));

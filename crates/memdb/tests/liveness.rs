@@ -8,8 +8,8 @@
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use cpr_memdb::{MemDbBuilder, 
-    Abort, Access, CommitError, Durability, LivenessConfig, MemDb, TxnRequest,
+use cpr_memdb::{
+    Abort, Access, CommitError, Durability, LivenessConfig, MemDb, MemDbBuilder, TxnRequest,
     VirtualClock,
 };
 
@@ -168,7 +168,11 @@ fn mid_txn_straggler_is_evicted_with_exact_prefix() {
     for i in 0..5u64 {
         assert_eq!(db2.read(60 + i), Some(600 + i), "committed prefix lost");
     }
-    assert_eq!(db2.read(69), Some(0), "uncommitted suffix leaked into recovery");
+    assert_eq!(
+        db2.read(69),
+        Some(0),
+        "uncommitted suffix leaked into recovery"
+    );
 }
 
 /// A straggler parked while holding record locks cannot be safely

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use cpr_memdb::{MemDbBuilder, Abort, Access, Durability, MemDb, TxnRequest};
+use cpr_memdb::{Abort, Access, Durability, MemDb, MemDbBuilder, TxnRequest};
 use cpr_workload::tpcc::{TpccConfig, TpccGenerator};
 use cpr_workload::txn::AccessType;
 

@@ -44,10 +44,7 @@ impl ShardedCounter {
 
     /// Merge every shard into an exact total.
     pub fn sum(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 }
 

@@ -187,7 +187,11 @@ mod tests {
         for v in [0u64, 1, 3, 4, 5, 8, 100, 1_000, 1 << 20, u64::MAX >> 2] {
             let b = bucket_of(v);
             assert!(b >= prev || v < 4, "bucket order at {v}");
-            assert!(bucket_value(b) >= v, "upper bound at {v}: {}", bucket_value(b));
+            assert!(
+                bucket_value(b) >= v,
+                "upper bound at {v}: {}",
+                bucket_value(b)
+            );
             prev = b;
         }
     }

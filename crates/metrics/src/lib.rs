@@ -43,9 +43,7 @@ mod tracer;
 
 pub use counter::ShardedCounter;
 pub use hist::{HistogramSnapshot, LatencyHistogram};
-pub use registry::{
-    EpochReport, MetricsReport, OpsReport, PhaseTiming, Registry, StorageReport,
-};
+pub use registry::{EpochReport, MetricsReport, OpsReport, PhaseTiming, Registry, StorageReport};
 pub use tracer::{CheckpointTimeline, PhaseSpan, PhaseTracer};
 
 use std::sync::atomic::{AtomicUsize, Ordering};

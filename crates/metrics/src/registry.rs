@@ -137,7 +137,9 @@ impl Registry {
             return;
         }
         self.epoch.bumps.incr();
-        self.epoch.max_drain_depth.fetch_max(depth, Ordering::Relaxed);
+        self.epoch
+            .max_drain_depth
+            .fetch_max(depth, Ordering::Relaxed);
     }
 
     /// A trigger action fired `latency` after its bump.

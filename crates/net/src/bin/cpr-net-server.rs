@@ -82,8 +82,8 @@ fn die(msg: &str) -> ! {
 }
 
 fn serve<E: NetEngine>(engine: Arc<E>, opts: &Opts) {
-    let listener = TcpListener::bind(&opts.addr)
-        .unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.addr)));
+    let listener =
+        TcpListener::bind(&opts.addr).unwrap_or_else(|e| die(&format!("bind {}: {e}", opts.addr)));
     let server = NetServer::serve(Arc::clone(&engine), listener)
         .unwrap_or_else(|e| die(&format!("serve: {e}")));
     println!(

@@ -141,9 +141,7 @@ fn run_until_kill(opts: &Opts) -> ReplayBuffer {
     assert!(c
         .request_checkpoint(variant_byte(opts.variant), false)
         .expect("checkpoint 1"));
-    let cp = c
-        .wait_commit(1, Duration::from_secs(30))
-        .expect("commit 1");
+    let cp = c.wait_commit(1, Duration::from_secs(30)).expect("commit 1");
     assert_eq!(
         (cp.version, cp.until_serial),
         (1, DURABLE),
@@ -164,7 +162,10 @@ fn run_until_kill(opts: &Opts) -> ReplayBuffer {
         .expect("checkpoint 2"));
     server.kill().expect("SIGKILL server");
     server.wait().expect("reap server");
-    eprintln!("[smoke] server killed mid-checkpoint, {} ops in flight", c.uncommitted());
+    eprintln!(
+        "[smoke] server killed mid-checkpoint, {} ops in flight",
+        c.uncommitted()
+    );
     c.take_buffer()
 }
 
@@ -193,8 +194,16 @@ fn recover_and_verify(opts: &Opts, buffer: ReplayBuffer) {
     // Resume: learn t, replay exactly t+1..=200.
     let mut c = NetClient::connect_with(&addr, GUID, buffer).expect("resume");
     assert_eq!(c.resume_point().version, recovered);
-    assert_eq!(c.resume_point().until_serial, durable_serials, "commit point t");
-    assert_eq!(c.replayed() as u64, OPS - durable_serials, "replay = suffix only");
+    assert_eq!(
+        c.resume_point().until_serial,
+        durable_serials,
+        "commit point t"
+    );
+    assert_eq!(
+        c.replayed() as u64,
+        OPS - durable_serials,
+        "replay = suffix only"
+    );
     assert_eq!(c.next_serial(), OPS + 1, "serials continue past N");
 
     let scan = observer.scan().expect("scan after replay");

@@ -484,11 +484,8 @@ impl NetClient {
                     if self.metrics.is_enabled() {
                         let reads =
                             batch.kinds.iter().filter(|&&k| k == OpKind::Read).count() as u64;
-                        self.metrics.record_commit(
-                            t0.elapsed(),
-                            reads,
-                            batch.len() as u64 - reads,
-                        );
+                        self.metrics
+                            .record_commit(t0.elapsed(), reads, batch.len() as u64 - reads);
                     }
                 }
                 self.results
@@ -524,9 +521,9 @@ impl NetClient {
                 self.committed = cp;
                 Ok(())
             }
-            Frame::Error { code, msg } => Err(io::Error::other(format!(
-                "server error ({code}): {msg}"
-            ))),
+            Frame::Error { code, msg } => {
+                Err(io::Error::other(format!("server error ({code}): {msg}")))
+            }
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unexpected frame {other:?}"),

@@ -256,11 +256,7 @@ impl<E: NetEngine> Connection<E> {
         };
 
         let (session, resume_from) = engine.continue_session(guid);
-        let mut conn = Connection {
-            session,
-            guid,
-            tx,
-        };
+        let mut conn = Connection { session, guid, tx };
         conn.send(Frame::HelloAck {
             guid,
             resume: CommitPoint::prefix(engine.committed_version(), resume_from),

@@ -133,17 +133,37 @@ pub mod error_code {
 /// A protocol frame. See the module docs for the byte layout.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    Hello { guid: u64 },
-    OpBatch { ops: Vec<WireOp> },
-    CheckpointReq { variant: u8, log_only: bool },
+    Hello {
+        guid: u64,
+    },
+    OpBatch {
+        ops: Vec<WireOp>,
+    },
+    CheckpointReq {
+        variant: u8,
+        log_only: bool,
+    },
     ScanReq,
     Goodbye,
-    HelloAck { guid: u64, resume: CommitPoint },
-    BatchAck { replies: Vec<OpReply> },
+    HelloAck {
+        guid: u64,
+        resume: CommitPoint,
+    },
+    BatchAck {
+        replies: Vec<OpReply>,
+    },
     CommitPoint(CommitPoint),
-    CheckpointAck { started: bool },
-    ScanChunk { last: bool, entries: Vec<(u64, u64)> },
-    Error { code: u8, msg: String },
+    CheckpointAck {
+        started: bool,
+    },
+    ScanChunk {
+        last: bool,
+        entries: Vec<(u64, u64)>,
+    },
+    Error {
+        code: u8,
+        msg: String,
+    },
 }
 
 /// Checkpoint variants over the wire (`CheckpointReq.variant`).

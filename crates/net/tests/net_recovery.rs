@@ -94,7 +94,10 @@ fn run_until_crash<E: NetEngine>(
         if phase == Phase::Rest && v >= 3 {
             break;
         }
-        assert!(Instant::now() < deadline, "crashed checkpoint never aborted");
+        assert!(
+            Instant::now() < deadline,
+            "crashed checkpoint never aborted"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
 
@@ -120,7 +123,11 @@ fn recover_and_resume<E: NetEngine>(engine: Arc<E>, recovered_version: u64, vari
 
     // The resume dance: learn t = 100, replay exactly 101..=200.
     let buffer = CRASH_BUFFER.with(|b| b.borrow_mut().take().unwrap());
-    assert_eq!(buffer.len(), 100, "un-durable suffix carried across the crash");
+    assert_eq!(
+        buffer.len(),
+        100,
+        "un-durable suffix carried across the crash"
+    );
     let mut c = NetClient::connect_with(addr, GUID, buffer).unwrap();
     assert_eq!(
         (c.resume_point().version, c.resume_point().until_serial),
@@ -177,7 +184,10 @@ fn faster_crash_resume(variant: u8) {
     }
     let (kv, manifest) = faster_builder(dir.path()).recover().unwrap();
     let manifest = manifest.expect("checkpoint 1 must have survived");
-    assert_eq!(manifest.version, 1, "the crashed checkpoint 2 must not commit");
+    assert_eq!(
+        manifest.version, 1,
+        "the crashed checkpoint 2 must not commit"
+    );
     recover_and_resume(Arc::new(kv), 1, variant);
 }
 
@@ -215,6 +225,9 @@ fn memdb_crash_resume() {
         .recover()
         .unwrap();
     let manifest = manifest.expect("checkpoint 1 must have survived");
-    assert_eq!(manifest.version, 1, "the crashed checkpoint 2 must not commit");
+    assert_eq!(
+        manifest.version, 1,
+        "the crashed checkpoint 2 must not commit"
+    );
     recover_and_resume(Arc::new(db), 1, checkpoint_variant::FOLD_OVER);
 }

@@ -452,7 +452,10 @@ mod tests {
         std::fs::write(store.file(t, "db.dat"), b"partial").unwrap();
         assert!(store.dir(t).exists());
         store.abort(t).unwrap();
-        assert!(!store.dir(t).exists(), "aborted checkpoint dir must be gone");
+        assert!(
+            !store.dir(t).exists(),
+            "aborted checkpoint dir must be gone"
+        );
         // Idempotent: aborting again (or a never-begun token) is fine.
         store.abort(t).unwrap();
         store.abort(9999).unwrap();
@@ -476,8 +479,11 @@ mod tests {
         // Simulate a crash that tore the next manifest mid-write.
         let t2 = store.begin().unwrap();
         let full = manifest(t2, 2, CheckpointKind::Database).to_json();
-        std::fs::write(store.file(t2, "manifest.json"), &full.as_bytes()[..full.len() / 2])
-            .unwrap();
+        std::fs::write(
+            store.file(t2, "manifest.json"),
+            &full.as_bytes()[..full.len() / 2],
+        )
+        .unwrap();
         // Strict single-token load still errors...
         assert!(store.manifest(t2).is_err());
         // ...but recovery-facing scans skip it instead of failing.
@@ -495,7 +501,9 @@ mod tests {
         let t = store.begin().unwrap();
         store.write_file(t, "db.dat", b"data").unwrap();
         inj.fail_after(0);
-        assert!(store.commit(&manifest(t, 1, CheckpointKind::Database)).is_err());
+        assert!(store
+            .commit(&manifest(t, 1, CheckpointKind::Database))
+            .is_err());
         assert!(!store.file(t, "manifest.json").exists());
         // Transient failure: a retried commit (new op) succeeds.
         store
@@ -514,14 +522,19 @@ mod tests {
         let t = store.begin().unwrap();
         inj.torn_after(0, 10);
         inj.crash_after(1);
-        assert!(store.commit(&manifest(t, 1, CheckpointKind::Database)).is_err());
+        assert!(store
+            .commit(&manifest(t, 1, CheckpointKind::Database))
+            .is_err());
         assert!(inj.crashed() || store.file(t, "manifest.json").exists());
         // Post-crash abort must NOT clean up: the torn manifest is what a
         // real crash would leave for recovery to tolerate.
         inj.crash_now();
         store.abort(t).unwrap();
         assert!(store.file(t, "manifest.json").exists());
-        assert!(store.begin().is_err(), "new checkpoints impossible after crash");
+        assert!(
+            store.begin().is_err(),
+            "new checkpoints impossible after crash"
+        );
     }
 
     #[test]

@@ -72,7 +72,10 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = StorageError::Injected { op: 3, seed: 0xBEEF };
+        let e = StorageError::Injected {
+            op: 3,
+            seed: 0xBEEF,
+        };
         assert!(e.to_string().contains("op 3"), "{e}");
         assert!(std::error::Error::source(&e).is_none());
         let io_err: io::Error = e.into();

@@ -367,9 +367,15 @@ impl FaultInjector {
     pub fn storage_error(&self) -> crate::StorageError {
         let op = self.op_count().saturating_sub(1);
         if self.crashed() {
-            crate::StorageError::Crashed { op, seed: self.seed }
+            crate::StorageError::Crashed {
+                op,
+                seed: self.seed,
+            }
         } else {
-            crate::StorageError::Injected { op, seed: self.seed }
+            crate::StorageError::Injected {
+                op,
+                seed: self.seed,
+            }
         }
     }
 

@@ -8,9 +8,7 @@
 //! continuation, different seed or thread id → different stream.
 
 use cpr_workload::tpcc::{TpccConfig, TpccGenerator};
-use cpr_workload::{
-    KeyDist, Op, Sampler, Txn, TxnConfig, TxnGenerator, YcsbConfig, YcsbGenerator,
-};
+use cpr_workload::{KeyDist, Op, Sampler, Txn, TxnConfig, TxnGenerator, YcsbConfig, YcsbGenerator};
 
 const N: usize = 10_000;
 
@@ -89,7 +87,15 @@ fn txn_streams_are_seed_deterministic() {
 fn tpcc_streams_are_seed_and_thread_deterministic() {
     let cfg = TpccConfig::mix(4, 50);
     let a = tpcc_stream(cfg, 0, 5, N / 4);
-    assert_eq!(a, tpcc_stream(cfg, 0, 5, N / 4), "same (thread, seed) replays");
-    assert_ne!(a, tpcc_stream(cfg, 1, 5, N / 4), "thread id perturbs the stream");
+    assert_eq!(
+        a,
+        tpcc_stream(cfg, 0, 5, N / 4),
+        "same (thread, seed) replays"
+    );
+    assert_ne!(
+        a,
+        tpcc_stream(cfg, 1, 5, N / 4),
+        "thread id perturbs the stream"
+    );
     assert_ne!(a, tpcc_stream(cfg, 0, 6, N / 4), "seed perturbs the stream");
 }

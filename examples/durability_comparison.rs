@@ -19,10 +19,10 @@ const SECONDS: f64 = 1.0;
 fn run(system: Durability, name: &str) {
     let dir = tempfile::tempdir().expect("tempdir");
     let db: MemDb<u64> = MemDb::builder(system)
-            .dir(dir.path())
-            .capacity(KEYS as usize * 2)
+        .dir(dir.path())
+        .capacity(KEYS as usize * 2)
         .open()
-    .expect("open");
+        .expect("open");
     for k in 0..KEYS {
         db.load(k, k);
     }

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use cpr::faster::{CheckpointVariant, FasterKv, FasterBuilder, ReadResult};
+use cpr::faster::{CheckpointVariant, FasterBuilder, FasterKv, ReadResult};
 
 /// A message: increment `key`'s counter by `delta`.
 #[derive(Debug, Clone, Copy)]
@@ -98,7 +98,9 @@ fn main() {
     }
 
     // Phase 2: recover and resume from the CPR point.
-    let (kv, _) = FasterBuilder::u64_sums(dir.path()).recover().expect("recover");
+    let (kv, _) = FasterBuilder::u64_sums(dir.path())
+        .recover()
+        .expect("recover");
     let (mut session, cpr_point) = kv.continue_session(1);
     println!("recovered session to serial {cpr_point}; replaying the rest");
     assert!(

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cpr::faster::{CheckpointVariant, FasterKv, FasterBuilder, FasterSession, ReadResult};
+use cpr::faster::{CheckpointVariant, FasterBuilder, FasterKv, FasterSession, ReadResult};
 
 /// Post-recovery reads may go pending (records start disk-resident);
 /// resolve them synchronously for this demo.
@@ -34,8 +34,9 @@ fn main() {
 
     // ---- normal operation --------------------------------------------------
     {
-        let kv: FasterKv<u64> =
-            FasterBuilder::u64_sums(dir.path()).open().expect("open store");
+        let kv: FasterKv<u64> = FasterBuilder::u64_sums(dir.path())
+            .open()
+            .expect("open store");
         let mut session = kv.start_session(/* guid */ 7);
 
         for k in 0..1000u64 {
@@ -68,8 +69,9 @@ fn main() {
     }
 
     // ---- recovery ----------------------------------------------------------
-    let (kv, manifest) =
-        FasterBuilder::u64_sums(dir.path()).recover().expect("recover");
+    let (kv, manifest) = FasterBuilder::u64_sums(dir.path())
+        .recover()
+        .expect("recover");
     let manifest = manifest.expect("one committed checkpoint");
     println!(
         "recovered checkpoint: version {} kind {:?}",

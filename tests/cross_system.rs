@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use cpr::faster::{CheckpointVariant, FasterKv, FasterBuilder, HlogConfig, ReadResult};
+use cpr::faster::{CheckpointVariant, FasterBuilder, FasterKv, HlogConfig, ReadResult};
 use cpr::memdb::{Access, Durability, MemDb, TxnRequest};
 use cpr::workload::keys::{KeyDist, Sampler};
 
@@ -126,8 +126,10 @@ fn memdb_and_faster_agree_on_recovered_state() {
 #[test]
 fn durable_prefix_is_monotone_and_bounded() {
     let dir = tempfile::tempdir().unwrap();
-    let kv: FasterKv<u64> =
-        FasterBuilder::u64_sums(dir.path()).refresh_every(4).open().unwrap();
+    let kv: FasterKv<u64> = FasterBuilder::u64_sums(dir.path())
+        .refresh_every(4)
+        .open()
+        .unwrap();
     let mut s = kv.start_session(1);
     let mut last_durable = 0;
     for round in 1..=4u64 {
@@ -155,8 +157,10 @@ fn durable_prefix_is_monotone_and_bounded() {
 #[test]
 fn session_churn_during_commit_completes() {
     let dir = tempfile::tempdir().unwrap();
-    let kv: FasterKv<u64> =
-        FasterBuilder::u64_sums(dir.path()).refresh_every(4).open().unwrap();
+    let kv: FasterKv<u64> = FasterBuilder::u64_sums(dir.path())
+        .refresh_every(4)
+        .open()
+        .unwrap();
     let mut s0 = kv.start_session(0);
     for i in 0..100u64 {
         s0.upsert(i, i);

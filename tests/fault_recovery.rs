@@ -26,10 +26,9 @@ use rand::{Rng, SeedableRng};
 
 use cpr::core::Phase;
 use cpr::faster::{
-    CheckpointVariant, FasterKv, FasterBuilder, FasterSession, HlogConfig, ReadResult,
-    VersionGrain,
+    CheckpointVariant, FasterBuilder, FasterKv, FasterSession, HlogConfig, ReadResult, VersionGrain,
 };
-use cpr::memdb::{MemDbBuilder, Access, Durability, MemDb, Session, TxnRequest};
+use cpr::memdb::{Access, Durability, MemDb, MemDbBuilder, Session, TxnRequest};
 use cpr::storage::{CheckpointStore, FaultInjector, FaultPlan};
 
 const KEYS: u64 = 16;
@@ -165,7 +164,13 @@ fn memdb_exec(s: &mut Session<u64>, op: Op) {
 
 /// Pump refreshes until the in-flight commit either lands (`true`) or
 /// aborts (`false`). Panics (with the seed) if neither happens.
-fn memdb_pump(db: &MemDb<u64>, s: &mut Session<u64>, target_v: u64, failures0: u64, tag: &str) -> bool {
+fn memdb_pump(
+    db: &MemDb<u64>,
+    s: &mut Session<u64>,
+    target_v: u64,
+    failures0: u64,
+    tag: &str,
+) -> bool {
     let deadline = Instant::now() + PUMP_DEADLINE;
     loop {
         if db.committed_version() >= target_v {
@@ -205,7 +210,10 @@ fn memdb_crash_case(seed: u64, point: CrashPoint) {
             memdb_exec(&mut s, op);
         }
         assert!(db.request_commit(), "{tag}");
-        assert!(memdb_pump(&db, &mut s, 1, 0, &tag), "fault-free commit must land: {tag}");
+        assert!(
+            memdb_pump(&db, &mut s, 1, 0, &tag),
+            "fault-free commit must land: {tag}"
+        );
         for &op in &ops_b {
             memdb_exec(&mut s, op);
         }
@@ -263,7 +271,11 @@ fn memdb_crash_case(seed: u64, point: CrashPoint) {
         if committed_second { 2 } else { 1 },
         "{tag}"
     );
-    assert_eq!(manifest.cpr_point(1), Some(expect_ops.len() as u64), "{tag}");
+    assert_eq!(
+        manifest.cpr_point(1),
+        Some(expect_ops.len() as u64),
+        "{tag}"
+    );
     let model = model_replay(&expect_ops);
     for key in 0..KEYS {
         assert_eq!(db2.read(key), model.get(&key).copied(), "key {key}: {tag}");
@@ -308,7 +320,10 @@ fn memdb_transient_failure_aborts_then_next_commit_succeeds() {
         // Second attempt: the transient fault is consumed; it must land.
         let (_, v) = db.state();
         assert!(db.request_commit(), "{tag}");
-        assert!(memdb_pump(&db, &mut s, v, 1, &tag), "retry must commit: {tag}");
+        assert!(
+            memdb_pump(&db, &mut s, v, 1, &tag),
+            "retry must commit: {tag}"
+        );
     }
     let (db2, manifest) = memdb_opts(dir.path(), None).recover().unwrap();
     let manifest = manifest.unwrap();
@@ -422,7 +437,10 @@ fn faster_crash_case(seed: u64, variant: CheckpointVariant, point: CrashPoint) {
             s.refresh();
         }
         assert!(kv.request_checkpoint(variant, false), "{tag}");
-        assert!(faster_pump(&kv, &mut s, 1, 0, &tag), "fault-free commit must land: {tag}");
+        assert!(
+            faster_pump(&kv, &mut s, 1, 0, &tag),
+            "fault-free commit must land: {tag}"
+        );
         for &op in &ops_b {
             faster_exec(&mut s, op);
         }
@@ -458,7 +476,10 @@ fn faster_crash_case(seed: u64, variant: CheckpointVariant, point: CrashPoint) {
                 unreachable!("not part of the FASTER sweep")
             }
         }
-        assert!(!faster_pump(&kv, &mut s, v, failures0, &tag), "must abort: {tag}");
+        assert!(
+            !faster_pump(&kv, &mut s, v, failures0, &tag),
+            "must abort: {tag}"
+        );
         faster_wait_rest(&kv, &mut s, &tag);
     }
 
@@ -486,7 +507,11 @@ fn faster_foldover_crash_sweep() {
         if matches!(point, CrashPoint::TornManifest) {
             continue; // covered by the dedicated torn-manifest tests
         }
-        faster_crash_case(base.wrapping_add(i as u64), CheckpointVariant::FoldOver, point);
+        faster_crash_case(
+            base.wrapping_add(i as u64),
+            CheckpointVariant::FoldOver,
+            point,
+        );
     }
 }
 
@@ -499,7 +524,11 @@ fn faster_snapshot_crash_sweep() {
         if matches!(point, CrashPoint::TornManifest) {
             continue;
         }
-        faster_crash_case(base.wrapping_add(i as u64), CheckpointVariant::Snapshot, point);
+        faster_crash_case(
+            base.wrapping_add(i as u64),
+            CheckpointVariant::Snapshot,
+            point,
+        );
     }
 }
 
@@ -523,14 +552,23 @@ fn faster_transient_failure_aborts_then_next_checkpoint_succeeds() {
             s.refresh();
         }
         inj.fail_after(0);
-        assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, false), "{tag}");
+        assert!(
+            kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
         assert!(!faster_pump(&kv, &mut s, 1, 0, &tag), "must abort: {tag}");
         assert_eq!(kv.checkpoint_failures(), 1, "{tag}");
         assert_eq!(kv.committed_version(), 0, "no manifest after abort: {tag}");
         faster_wait_rest(&kv, &mut s, &tag);
         let (_, v) = kv.state();
-        assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, false), "{tag}");
-        assert!(faster_pump(&kv, &mut s, v, 1, &tag), "retry must commit: {tag}");
+        assert!(
+            kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
+        assert!(
+            faster_pump(&kv, &mut s, v, 1, &tag),
+            "retry must commit: {tag}"
+        );
     }
     let (kv2, manifest) = faster_opts(dir.path(), None).recover().unwrap();
     assert!(manifest.is_some(), "{tag}");
@@ -563,7 +601,10 @@ fn faster_crash_before_request_is_rejected_cleanly() {
             faster_exec(&mut s, op);
         }
         inj.crash_now();
-        assert!(!kv.request_checkpoint(CheckpointVariant::FoldOver, false), "{tag}");
+        assert!(
+            !kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
         assert_eq!(kv.checkpoint_failures(), 1, "{tag}");
         assert_eq!(kv.state(), (Phase::Rest, 1), "{tag}");
     }
@@ -607,7 +648,10 @@ fn torture_memdb(seed: u64) {
     let (db2, manifest) = memdb_opts(dir.path(), None).recover().unwrap();
     let prefix = match &manifest {
         Some(m) => *committed.get(&m.version).unwrap_or_else(|| {
-            panic!("recovered version {} was never seen committing: {tag}", m.version)
+            panic!(
+                "recovered version {} was never seen committing: {tag}",
+                m.version
+            )
         }),
         None => {
             assert!(committed.is_empty(), "committed checkpoint lost: {tag}");
@@ -659,7 +703,10 @@ fn torture_faster(seed: u64) {
     let (kv2, manifest) = faster_opts(dir.path(), None).recover().unwrap();
     let prefix = match &manifest {
         Some(m) => *committed.get(&m.version).unwrap_or_else(|| {
-            panic!("recovered version {} was never seen committing: {tag}", m.version)
+            panic!(
+                "recovered version {} was never seen committing: {tag}",
+                m.version
+            )
         }),
         None => {
             assert!(committed.is_empty(), "committed checkpoint lost: {tag}");
@@ -858,12 +905,7 @@ fn faster_overlapped_checkpoint(
 /// Recover `dir` fault-free at `threads` recovery threads and check the
 /// store against the model replay of the committed prefix; returns the
 /// recovered index digest.
-fn faster_check_recovered(
-    dir: &std::path::Path,
-    ops: &[Op],
-    threads: usize,
-    tag: &str,
-) -> u64 {
+fn faster_check_recovered(dir: &std::path::Path, ops: &[Op], threads: usize, tag: &str) -> u64 {
     let (kv, manifest) = faster_opts(dir, None)
         .recovery_threads(threads)
         .recover()
@@ -938,8 +980,14 @@ fn faster_recovery_kill_case(variant: CheckpointVariant, seed: u64) {
     let d2 = faster_check_recovered(dir.path(), &ops, 2, &tag);
     let d1 = faster_check_recovered(dir.path(), &ops, 1, &tag);
     let d4 = faster_check_recovered(dir.path(), &ops, 4, &tag);
-    assert_eq!(d1, d2, "index digest differs between 1 and 2 threads: {tag}");
-    assert_eq!(d1, d4, "index digest differs between 1 and 4 threads: {tag}");
+    assert_eq!(
+        d1, d2,
+        "index digest differs between 1 and 2 threads: {tag}"
+    );
+    assert_eq!(
+        d1, d4,
+        "index digest differs between 1 and 4 threads: {tag}"
+    );
 }
 
 /// FASTER fold-over: recovery killed on checkpoint reads, scan reads,
@@ -972,7 +1020,10 @@ fn memdb_recovery_killed_then_retried() {
             memdb_exec(&mut s, op);
         }
         assert!(db.request_commit(), "{tag}");
-        assert!(memdb_pump(&db, &mut s, 1, 0, &tag), "commit must land: {tag}");
+        assert!(
+            memdb_pump(&db, &mut s, 1, 0, &tag),
+            "commit must land: {tag}"
+        );
         memdb_wait_rest(&db, &mut s, &tag);
     }
 

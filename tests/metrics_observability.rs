@@ -69,7 +69,11 @@ fn faster_phase_tracer_covers_both_checkpoint_variants() {
     assert_eq!(report.ops.committed, 258);
     assert!(report.ops.commit_latency.count > 0);
     // The epoch was bumped for every phase transition.
-    assert!(report.epoch.bumps >= 6, "epoch bumps: {}", report.epoch.bumps);
+    assert!(
+        report.epoch.bumps >= 6,
+        "epoch bumps: {}",
+        report.epoch.bumps
+    );
     // Fold-over flushes the log through the metered device.
     assert!(report.storage.bytes_written > 0);
 }
@@ -112,7 +116,10 @@ fn memdb_phase_tracer_yields_complete_timeline() {
     let t = &report.checkpoints[0];
     assert_eq!(t.kind, "cpr");
     assert!(t.committed);
-    assert_eq!(phase_labels(t), vec!["prepare", "in-progress", "wait-flush"]);
+    assert_eq!(
+        phase_labels(t),
+        vec!["prepare", "in-progress", "wait-flush"]
+    );
     assert_eq!(report.ops.committed, 32);
     assert_eq!(report.ops.writes, 32);
     assert!(report.storage.bytes_written > 0, "capture must hit storage");

@@ -9,18 +9,26 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use cpr::faster::{
-    CheckpointVariant, FasterKv, FasterBuilder, HlogConfig, ReadResult, VersionGrain,
+    CheckpointVariant, FasterBuilder, FasterKv, HlogConfig, ReadResult, VersionGrain,
 };
 use cpr::memdb::{Access, DbValue, Durability, MemDb, TxnRequest};
 
 /// One single-key operation in a generated schedule.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Upsert { key: u64, val: u64 },
-    Merge { key: u64, delta: u64 },
+    Upsert {
+        key: u64,
+        val: u64,
+    },
+    Merge {
+        key: u64,
+        delta: u64,
+    },
     /// Deletes must cross the live/stable version-shift path like writes:
     /// a delete before the CPR point is durable, one after is discarded.
-    Delete { key: u64 },
+    Delete {
+        key: u64,
+    },
 }
 
 fn op_strategy(keys: u64) -> impl Strategy<Value = Op> {
