@@ -106,7 +106,7 @@ fn drop_superseded<V: Pod>(inner: &StoreInner<V>, m: &CheckpointManifest) {
             Err(_) => return,
         }
     };
-    let _ = inner.store.remove_older(m.token, keep);
+    let _ = inner.store.remove_older(m.token, keep.as_slice());
 }
 
 /// The fallible body of the wait-flush phase. Returns the committed

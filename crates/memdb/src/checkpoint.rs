@@ -48,22 +48,28 @@ pub(crate) fn capture<V: DbValue>(inner: &DbInner<V>, v: u64) {
         .state
         .transition((Phase::WaitFlush, v), (Phase::Rest, v + 1));
     debug_assert!(ok, "state machine out of sync at capture completion");
-    if let Some((token, sessions)) = &committed {
+    if let Some(manifest) = &committed {
         // The manifest's points are now the durable baseline; detached
         // entries it subsumes can be dropped.
         {
             let mut durable = inner.durable_points.lock();
-            for s in sessions {
+            for s in &manifest.sessions {
                 let e = durable.entry(s.guid).or_insert(0);
                 *e = (*e).max(s.cpr_point);
             }
         }
         inner.detached.prune_committed(v);
-        inner.committed_version.store(v, Ordering::Release);
+        {
+            let mut chain = inner.checkpoint_chain.lock();
+            if manifest.base.is_none() {
+                chain.clear();
+            }
+            chain.insert(0, manifest.token);
+        }
         *inner.last_capture.lock() = Some(started.elapsed());
-        *inner.last_capture_token.lock() = Some(*token);
+        inner.committed_version.store(v, Ordering::Release);
         for cb in inner.commit_callbacks.lock().iter() {
-            cb(v, sessions);
+            cb(v, &manifest.sessions);
         }
     }
     if inner.opts.metrics.is_enabled() {
@@ -76,104 +82,132 @@ pub(crate) fn capture<V: DbValue>(inner: &DbInner<V>, v: u64) {
             out.evicted.len() as u64,
         );
     }
-    let _g = inner.commit_lock.lock();
-    inner.commit_cv.notify_all();
+    {
+        let _g = inner.commit_lock.lock();
+        inner.commit_cv.notify_all();
+    }
+    if let Some(manifest) = committed {
+        drop_superseded(inner, manifest.token);
+    }
 }
 
-/// The fallible body of capture. Returns the committed token and the
-/// manifest's session points, or `None` if any I/O step failed (the
-/// partial checkpoint is aborted).
-///
-/// Serialization is bucket-sharded across `capture_threads` workers;
-/// concatenating the shards in bucket order reproduces exactly the
-/// sequential [`Table::for_each`](crate::Table::for_each) order, so the
-/// checkpoint bytes are identical at any thread count.
-fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<(u64, Vec<SessionCpr>)> {
+/// Delete the checkpoints that commit `token` superseded: recovery reads
+/// only the newest Database checkpoint and its delta base chain, so every
+/// older directory outside that chain goes. Best effort: a failure
+/// leaves the directories for the next commit's pass, and a crash
+/// mid-delete leaves a directory without its manifest, which recovery
+/// ignores.
+fn drop_superseded<V: DbValue>(inner: &DbInner<V>, token: u64) {
+    let store = inner.store.as_ref().expect("capture requires a store");
+    let keep = inner.checkpoint_chain.lock().clone();
+    let _ = store.remove_older(token, &keep);
+}
+
+/// The fallible body of capture. Returns the committed manifest, or
+/// `None` if any I/O step failed (the partial checkpoint is aborted).
+fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<CheckpointManifest> {
     let store = inner.store.as_ref().expect("capture requires a store");
     let token = store.begin().ok()?;
     // Delta checkpoints capture only records whose version-v image was
     // produced by a version-v write; everything else is already covered
     // by the base chain. The first commit is always full.
-    let base = inner
-        .opts
-        .incremental
-        .then(|| *inner.last_capture_token.lock())
-        .flatten();
+    let base = if inner.opts.incremental {
+        inner.checkpoint_chain.lock().first().copied()
+    } else {
+        None
+    };
 
-    let buckets = inner.table.bucket_count();
-    let threads = inner.opts.capture_threads.clamp(1, buckets.max(1));
     let t0 = inner
         .opts
         .metrics
         .is_enabled()
         .then(std::time::Instant::now);
-    let shards: Vec<Option<(Vec<u8>, u64)>> = if threads == 1 {
-        vec![capture_shard(inner, v, base, 0..buckets)]
-    } else {
-        std::thread::scope(|sc| {
-            (0..threads)
-                .map(|w| {
-                    let lo = buckets * w / threads;
-                    let hi = buckets * (w + 1) / threads;
-                    sc.spawn(move || capture_shard(inner, v, base, lo..hi))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("capture shard panicked"))
-                .collect()
-        })
-    };
-    if shards.iter().any(Option::is_none) || inner.capture_abort.swap(false, Ordering::AcqRel) {
+    let shards = serialize(inner, v, base, inner.opts.capture_threads);
+    let Some(shards) = shards.filter(|_| !inner.capture_abort.swap(false, Ordering::AcqRel)) else {
         let _ = store.abort(token);
         return None;
-    }
-    let mut buf: Vec<u8> =
-        Vec::with_capacity(inner.table.len() * (16 + std::mem::size_of::<V>()) + 8);
-    buf.extend_from_slice(&0u64.to_le_bytes()); // count patched below
-    let mut count = 0u64;
-    for (bytes, n) in shards.into_iter().flatten() {
-        buf.extend_from_slice(&bytes);
-        count += n;
-    }
-    buf[..8].copy_from_slice(&count.to_le_bytes());
+    };
+    let count: u64 = shards.iter().map(|s| s.count).sum();
     if let Some(t0) = t0 {
         inner
             .opts
             .metrics
-            .record_phase("capture.serialize", threads, t0.elapsed());
+            .record_phase("capture.serialize", shards.len(), t0.elapsed());
     }
 
-    let sessions = session_points(inner, v);
-    let result = (|| -> io::Result<()> {
-        store.write_file(token, "db.dat", &buf)?;
-        let mut manifest = CheckpointManifest::new(token, CheckpointKind::Database, v);
-        manifest.records = Some(count);
-        manifest.base = base;
-        manifest.sessions = sessions.clone();
-        store.commit(&manifest)
-    })();
+    let header = count.to_le_bytes();
+    let parts: Vec<&[u8]> = std::iter::once(&header[..])
+        .chain(shards.iter().map(|s| &s.bytes[..]))
+        .collect();
+    let mut manifest = CheckpointManifest::new(token, CheckpointKind::Database, v);
+    manifest.records = Some(count);
+    manifest.base = base;
+    manifest.sessions = session_points(inner, v);
+    let result = store
+        .write_file_parts(token, "db.dat", &parts)
+        .and_then(|()| store.commit(&manifest));
     if result.is_err() {
         // No-op after a simulated crash: the frozen (possibly torn) state
         // is exactly what recovery must cope with.
         let _ = store.abort(token);
         return None;
     }
-    Some((token, sessions))
+    Some(manifest)
 }
 
-/// Serialize the version-`v` images of the records chained off buckets
-/// `range` (one capture worker's share). Returns the shard's bytes and
-/// record count, or `None` if the watchdog aborted the pass.
+/// One capture worker's share of `db.dat`: serialized record entries and
+/// their count.
+struct Shard {
+    bytes: Vec<u8>,
+    count: u64,
+}
+
+/// Serialize the version-`v` images across `threads` workers, each
+/// taking one contiguous slot range. The shards, written in order after
+/// the count, are the record entries of `db.dat` in slot order, so the
+/// checkpoint bytes are identical at any thread count. `None` if the
+/// watchdog aborted the pass.
+fn serialize<V: DbValue>(
+    inner: &DbInner<V>,
+    v: u64,
+    base: Option<u64>,
+    threads: usize,
+) -> Option<Vec<Shard>> {
+    let slots = inner.table.slot_count();
+    let threads = threads.clamp(1, slots.max(1));
+    let shard = |w: usize| {
+        let range = slots * w / threads..slots * (w + 1) / threads;
+        capture_shard(inner, v, base, range)
+    };
+    if threads == 1 {
+        return shard(0).map(|s| vec![s]);
+    }
+    std::thread::scope(|sc| {
+        let shard = &shard;
+        let rest: Vec<_> = (1..threads).map(|w| sc.spawn(move || shard(w))).collect();
+        // This thread takes the first range itself.
+        std::iter::once(shard(0))
+            .chain(
+                rest.into_iter()
+                    .map(|h| h.join().expect("capture shard panicked")),
+            )
+            .collect()
+    })
+}
+
+/// Serialize the version-`v` images of the records in slots `range`
+/// into a buffer sized for every slot in it. `None` if the watchdog
+/// aborted the pass.
 fn capture_shard<V: DbValue>(
     inner: &DbInner<V>,
     v: u64,
     base: Option<u64>,
     range: std::ops::Range<usize>,
-) -> Option<(Vec<u8>, u64)> {
-    let mut buf: Vec<u8> = Vec::new();
+) -> Option<Shard> {
+    let mut bytes: Vec<u8> = Vec::with_capacity(range.len() * (16 + std::mem::size_of::<V>()));
     let mut count = 0u64;
     let mut aborted = false;
-    inner.table.for_each_in_buckets(range, |key, rec| {
+    inner.table.for_each_in_slots(range, |key, rec| {
         if aborted {
             return;
         }
@@ -211,12 +245,12 @@ fn capture_shard<V: DbValue>(
             // Full checkpoint: deleted records are simply absent.
             return;
         }
-        buf.extend_from_slice(&key.to_le_bytes());
-        buf.extend_from_slice(&if dead { FLAG_TOMBSTONE } else { 0 }.to_le_bytes());
-        cpr_core::pod_write(&value, &mut buf);
+        bytes.extend_from_slice(&key.to_le_bytes());
+        bytes.extend_from_slice(&if dead { FLAG_TOMBSTONE } else { 0 }.to_le_bytes());
+        cpr_core::pod_write(&value, &mut bytes);
         count += 1;
     });
-    (!aborted).then_some((buf, count))
+    (!aborted).then_some(Shard { bytes, count })
 }
 
 /// Per-session commit points for the manifest of version `v`: the newest
@@ -251,6 +285,11 @@ fn session_points<V: DbValue>(inner: &DbInner<V>, v: u64) -> Vec<SessionCpr> {
 /// disjoint records and the result is independent of thread count. A
 /// record found locked surfaces as [`RecoveryError::RecordLocked`]
 /// instead of a panic — recovery must be the table's only writer.
+///
+/// The first file of a recovery goes into an empty table. Its entries
+/// then take one block of slots in file order, and each record is
+/// published without a lookup or a lock: the table's layout, and so the
+/// next checkpoint's bytes, do not depend on the thread count either.
 pub(crate) fn load<V: DbValue>(
     inner: &DbInner<V>,
     store: &CheckpointStore,
@@ -272,12 +311,24 @@ pub(crate) fn load<V: DbValue>(
         ));
     }
 
+    let block = inner
+        .table
+        .is_empty()
+        .then(|| inner.table.claim_block(count));
     let load_range = |lo: usize, hi: usize| -> io::Result<()> {
         let mut off = 8 + lo * rec_size;
-        for _ in lo..hi {
+        for i in lo..hi {
             let key = u64::from_le_bytes(data[off..off + 8].try_into().unwrap());
             let flags = u64::from_le_bytes(data[off + 8..off + 16].try_into().unwrap());
             let value: V = cpr_core::pod_read(&data[off + 16..off + rec_size]);
+            let dead = flags & FLAG_TOMBSTONE != 0;
+            off += rec_size;
+            if let Some(first) = block {
+                inner
+                    .table
+                    .publish_unique(first + i, key, manifest.version, value, dead);
+                continue;
+            }
             // Delta chains re-load keys: later (newer) checkpoints
             // overwrite.
             let (rec, _inserted) = inner.table.get_or_insert(key, manifest.version, value);
@@ -285,12 +336,11 @@ pub(crate) fn load<V: DbValue>(
                 return Err(RecoveryError::RecordLocked { key }.into());
             }
             rec.write_live(value);
-            rec.set_dead(flags & FLAG_TOMBSTONE != 0);
+            rec.set_dead(dead);
             rec.set_birth_if_unset(manifest.version);
             rec.set_modified(manifest.version);
             rec.set_version(manifest.version);
             rec.lock.release_exclusive();
-            off += rec_size;
         }
         Ok(())
     };
@@ -401,5 +451,58 @@ mod tests {
         rec.lock.release_exclusive();
         load(&db.inner, &store, &manifest).unwrap();
         assert_eq!(db.read(7), Some(42));
+    }
+
+    /// A table grown far past its capacity hint by racing runtime inserts
+    /// (holes included, across a chunk boundary) serializes to the same
+    /// bytes at any capture thread count, and those are the committed
+    /// `db.dat`.
+    #[test]
+    fn capture_bytes_identical_at_any_thread_count() {
+        use crate::client::{Access, TxnRequest};
+        const ROWS: u64 = 20_000;
+        let dir = tempfile::tempdir().unwrap();
+        let db: MemDb<u64> = MemDb::builder(Durability::Cpr)
+            .dir(dir.path())
+            .capacity(64)
+            .capture_threads(1)
+            .open()
+            .unwrap();
+        std::thread::scope(|sc| {
+            for (t, stride) in [1u64, 3, 7, 9].into_iter().enumerate() {
+                let db = db.clone();
+                sc.spawn(move || {
+                    let mut s = db.session(t as u64 + 1);
+                    let mut reads = Vec::new();
+                    for i in 0..ROWS {
+                        let accesses = [(i * stride % ROWS, Access::Merge)];
+                        let req = TxnRequest {
+                            accesses: &accesses,
+                            write_seeds: &[1],
+                        };
+                        while s.execute(&req, &mut reads).is_err() {}
+                    }
+                });
+            }
+        });
+        assert_eq!(db.len(), ROWS as usize);
+        assert!(db.inner.table.slot_count() > 16_384, "spans two chunks");
+        assert!(db.request_commit());
+        assert!(db.wait_for_version(1, std::time::Duration::from_secs(20)));
+
+        let store = CheckpointStore::open(dir.path()).unwrap();
+        let token = store.latest().unwrap().unwrap().token;
+        let file = store.read_file(token, "db.dat").unwrap();
+        assert_eq!(file.len(), 8 + ROWS as usize * 24);
+        for threads in [1usize, 2, 4] {
+            let shards = serialize(&db.inner, 1, None, threads).unwrap();
+            assert_eq!(shards.len(), threads);
+            let count: u64 = shards.iter().map(|s| s.count).sum();
+            let mut bytes = count.to_le_bytes().to_vec();
+            for s in &shards {
+                bytes.extend_from_slice(&s.bytes);
+            }
+            assert!(bytes == file, "{threads} capture threads");
+        }
     }
 }

@@ -17,8 +17,8 @@ use cpr_metrics::Registry;
 
 use crate::db::{DbInner, Durability};
 use crate::error::Abort;
-use crate::record::Record;
 use crate::stats::ClientStats;
+use crate::table::Table;
 use crate::value::DbValue;
 
 /// Access mode, mirroring `cpr_workload::AccessType` without the
@@ -73,6 +73,12 @@ pub struct Session<V: DbValue> {
     pause_in_txn: Option<Box<dyn FnMut() + Send>>,
     /// Test hook: runs while the transaction's 2PL locks are held.
     pause_locked: Option<Box<dyn FnMut() + Send>>,
+    /// Lock set of the transaction attempt in flight: (slot id,
+    /// exclusive) per access, in acquisition order. Reused across
+    /// attempts, so executing allocates nothing.
+    locked: Vec<(u32, bool)>,
+    /// Redo payload of the WAL transaction in flight, reused likewise.
+    wal_payload: Vec<u8>,
     pub stats: ClientStats,
 }
 
@@ -112,6 +118,8 @@ impl<V: DbValue> Session<V> {
             evicted: false,
             pause_in_txn: None,
             pause_locked: None,
+            locked: Vec::new(),
+            wal_payload: Vec::new(),
             stats: ClientStats::default(),
         }
     }
@@ -339,10 +347,11 @@ impl<V: DbValue> Session<V> {
         }
 
         // Acquire phase: lock the full read-write set (No-Wait).
-        let mut locked: Vec<(&Record<V>, bool)> = Vec::with_capacity(txn.accesses.len());
+        self.locked.clear();
         let mut fail: Option<Abort> = None;
         'acquire: for &(key, access) in txn.accesses {
-            let (rec, _) = table.get_or_insert(key, txn_version, V::from_seed(0));
+            let (slot, _) = table.get_or_insert_slot(key, txn_version, V::from_seed(0));
+            let rec = table.record(slot);
             let exclusive = access != Access::Read;
             let got = if exclusive {
                 rec.lock.try_exclusive()
@@ -353,7 +362,7 @@ impl<V: DbValue> Session<V> {
                 fail = Some(Abort::Conflict);
                 break 'acquire;
             }
-            locked.push((rec, exclusive));
+            self.locked.push((slot, exclusive));
 
             match phase {
                 Phase::Rest => {}
@@ -388,7 +397,7 @@ impl<V: DbValue> Session<V> {
         }
 
         if let Some(abort) = fail {
-            release_all(&locked);
+            release_all(table, &self.locked);
             return Err(abort);
         }
 
@@ -407,12 +416,12 @@ impl<V: DbValue> Session<V> {
             match self.db.registry.status(self.slot) {
                 SessionStatus::Active => {}
                 SessionStatus::Evicted => {
-                    release_all(&locked);
+                    release_all(table, &self.locked);
                     self.evicted = true;
                     return Err(Abort::SessionEvicted);
                 }
                 _ => {
-                    release_all(&locked);
+                    release_all(table, &self.locked);
                     if self.db.registry.await_reactivate(self.slot) {
                         self.refresh();
                         return Err(Abort::Conflict);
@@ -425,8 +434,8 @@ impl<V: DbValue> Session<V> {
 
         // Execute phase: all locks held.
         let mut seed_idx = 0;
-        for (i, &(_, access)) in txn.accesses.iter().enumerate() {
-            let (rec, _) = locked[i];
+        for (&(_, access), &(slot, _)) in txn.accesses.iter().zip(&self.locked) {
+            let rec = table.record(slot);
             match access {
                 Access::Read => {
                     reads.push(if rec.birth() == 0 || rec.is_dead() {
@@ -476,7 +485,7 @@ impl<V: DbValue> Session<V> {
             }
         }
 
-        release_all(&locked);
+        release_all(table, &self.locked);
         Ok(())
     }
 
@@ -491,9 +500,10 @@ impl<V: DbValue> Session<V> {
         if self.clock.is_some() {
             self.db.registry.set_busy(self.slot, BusyState::Locking);
         }
-        let mut locked: Vec<(&Record<V>, bool)> = Vec::with_capacity(txn.accesses.len());
+        self.locked.clear();
         for &(key, access) in txn.accesses {
-            let (rec, _) = table.get_or_insert(key, 1, V::from_seed(0));
+            let (slot, _) = table.get_or_insert_slot(key, 1, V::from_seed(0));
+            let rec = table.record(slot);
             let exclusive = access != Access::Read;
             let got = if exclusive {
                 rec.lock.try_exclusive()
@@ -501,23 +511,24 @@ impl<V: DbValue> Session<V> {
                 rec.lock.try_shared()
             };
             if !got {
-                release_all(&locked);
+                release_all(table, &self.locked);
                 return Err(Abort::Conflict);
             }
-            locked.push((rec, exclusive));
+            self.locked.push((slot, exclusive));
         }
 
         // Execute and build the redo record. Payload format:
         // `[count u64][(key u64, flags u64, value)*]`, flags bit 0 =
         // tombstone; count patched below (deletes consume no write seed,
         // so the seed count cannot serve as the entry count).
-        let mut payload: Vec<u8> = Vec::with_capacity(8 + txn.accesses.len() * 24);
+        let payload = &mut self.wal_payload;
+        payload.clear();
         let t_build = profile.then(Instant::now);
         payload.extend_from_slice(&0u64.to_le_bytes());
         let mut seed_idx = 0;
         let mut entries = 0u64;
-        for (i, &(key, access)) in txn.accesses.iter().enumerate() {
-            let (rec, _) = locked[i];
+        for (&(key, access), &(slot, _)) in txn.accesses.iter().zip(&self.locked) {
+            let rec = table.record(slot);
             match access {
                 Access::Read => {
                     reads.push(if rec.birth() == 0 || rec.is_dead() {
@@ -542,7 +553,7 @@ impl<V: DbValue> Session<V> {
                     // idempotent and order-faithful.
                     payload.extend_from_slice(&key.to_le_bytes());
                     payload.extend_from_slice(&0u64.to_le_bytes());
-                    cpr_core::pod_write(&val, &mut payload);
+                    cpr_core::pod_write(&val, payload);
                     seed_idx += 1;
                     entries += 1;
                     self.stats.writes += 1;
@@ -552,7 +563,7 @@ impl<V: DbValue> Session<V> {
                     rec.set_birth_if_unset(1);
                     payload.extend_from_slice(&key.to_le_bytes());
                     payload.extend_from_slice(&1u64.to_le_bytes());
-                    cpr_core::pod_write(&V::from_seed(0), &mut payload);
+                    cpr_core::pod_write(&V::from_seed(0), payload);
                     entries += 1;
                     self.stats.writes += 1;
                 }
@@ -574,14 +585,14 @@ impl<V: DbValue> Session<V> {
                 self.stats.note_side_ns(t.elapsed().as_nanos() as u64, true);
             }
             let t_copy = profile.then(Instant::now);
-            reservation.fill(&payload);
+            reservation.fill(&self.wal_payload);
             if let Some(t) = t_copy {
                 self.stats
                     .note_side_ns(t.elapsed().as_nanos() as u64, false);
             }
         }
 
-        release_all(&locked);
+        release_all(table, &self.locked);
         Ok(())
     }
 
@@ -593,8 +604,9 @@ impl<V: DbValue> Session<V> {
     }
 }
 
-fn release_all<V: DbValue>(locked: &[(&Record<V>, bool)]) {
-    for &(rec, exclusive) in locked.iter().rev() {
+fn release_all<V: DbValue>(table: &Table<V>, locked: &[(u32, bool)]) {
+    for &(slot, exclusive) in locked.iter().rev() {
+        let rec = table.record(slot);
         if exclusive {
             rec.lock.release_exclusive();
         } else {

@@ -52,7 +52,8 @@ pub enum Durability {
 #[derive(Debug, Clone)]
 pub struct MemDbOptions {
     pub durability: Durability,
-    /// Expected number of records (hash-table sizing hint).
+    /// Expected number of records: sizes the hash index and the first
+    /// chunk of record slots (inserts past it add chunks).
     pub capacity: usize,
     /// Checkpoint / log directory (required unless `Durability::None`).
     pub dir: Option<PathBuf>,
@@ -88,9 +89,9 @@ pub struct MemDbOptions {
     /// of timing calls; pass [`cpr_metrics::Registry::new`] to collect.
     pub metrics: Arc<Registry>,
     /// Worker threads serializing the stable version during checkpoint
-    /// capture (bucket-sharded; the checkpoint bytes are identical at any
-    /// thread count). Defaults to the `CPR_IO_THREADS` environment
-    /// variable (1 when unset).
+    /// capture (each takes a contiguous range of record slots; the
+    /// checkpoint bytes are identical at any thread count). Defaults to
+    /// the `CPR_IO_THREADS` environment variable (1 when unset).
     pub capture_threads: usize,
     /// Worker threads loading checkpoint files during recovery. Defaults
     /// to the `CPR_IO_THREADS` environment variable (1 when unset). The
@@ -216,7 +217,8 @@ impl<V: DbValue> Clone for MemDbBuilder<V> {
 }
 
 impl<V: DbValue> MemDbBuilder<V> {
-    /// Expected number of records — hash-table sizing hint (default 2^16).
+    /// Expected number of records — sizes the hash index and the first
+    /// chunk of record slots; inserts past it add chunks (default 2^16).
     pub fn capacity(mut self, c: usize) -> Self {
         self.opts.capacity = c;
         self
@@ -337,8 +339,10 @@ pub(crate) struct DbInner<V: DbValue> {
     pub(crate) checkpoint_failures: AtomicU64,
     /// Wall-clock duration of the last completed capture pass.
     pub(crate) last_capture: Mutex<Option<Duration>>,
-    /// Token of the most recent Database checkpoint (delta base).
-    pub(crate) last_capture_token: Mutex<Option<u64>>,
+    /// What recovery reads for the newest Database checkpoint: its token
+    /// first (the next delta's base), then its delta base chain back to a
+    /// full checkpoint. Retention keeps exactly these directories.
+    pub(crate) checkpoint_chain: Mutex<Vec<u64>>,
     /// Per-guid commit points of the newest durable manifest, seeded from
     /// the recovery manifest and carried into each new manifest so
     /// sessions absent at commit time keep their recovery contract.
@@ -442,7 +446,7 @@ impl<V: DbValue> MemDb<V> {
             merged_stats: Mutex::new(ClientStats::default()),
             checkpoint_failures: AtomicU64::new(0),
             last_capture: Mutex::new(None),
-            last_capture_token: Mutex::new(None),
+            checkpoint_chain: Mutex::new(Vec::new()),
             durable_points: Mutex::new(HashMap::new()),
             detached: DetachedSessions::new(),
             commit_callbacks: Mutex::new(Vec::new()),
@@ -515,7 +519,7 @@ impl<V: DbValue> MemDb<V> {
                 for m in chain.iter().rev() {
                     checkpoint::load(&db.inner, &store, m)?;
                 }
-                *db.inner.last_capture_token.lock() = Some(manifest.token);
+                *db.inner.checkpoint_chain.lock() = chain.iter().map(|m| m.token).collect();
                 // Seed the durable commit points so resumed sessions learn
                 // their recovered prefix (paper Sec. 2's per-session
                 // contract).
@@ -629,8 +633,9 @@ impl<V: DbValue> MemDb<V> {
     /// each record's shared lock briefly; intended for quiescent use
     /// (verification and serving scans), not the transaction hot path.
     pub fn scan_all(&self) -> Vec<(u64, V)> {
+        let table = &self.inner.table;
         let mut out = Vec::with_capacity(self.len());
-        self.inner.table.for_each(|key, rec| {
+        table.for_each_in_slots(0..table.slot_count(), |key, rec| {
             loop {
                 if rec.lock.try_shared() {
                     break;

@@ -4,11 +4,21 @@
 //! The CPR and CALC backends both keep two values per record. An optimal
 //! CPR implementation needs only one (paper Sec. 7.1 keeps two for a
 //! head-to-head comparison with CALC, and so do we).
+//!
+//! A record is cache-line aligned and holds only what transactions and
+//! the capture pass touch: with `V = u64` it is exactly one 64-byte line.
+//! The key and the hash-chain link live in the table's index arrays
+//! instead (see [`Table`](crate::Table)).
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cpr_core::{NoWaitLock, Pod};
+
+/// `flags` bit: `live` is a tombstone.
+const DEAD: u64 = 1;
+/// `flags` bit: `stable` is a tombstone (`DEAD` as of the version shift).
+const STABLE_DEAD: u64 = 2;
 
 /// One database record.
 ///
@@ -20,6 +30,7 @@ use cpr_core::{NoWaitLock, Pod};
 /// re-checking `version`. Records are never deallocated while the table is
 /// alive.
 #[derive(Debug)]
+#[repr(C, align(64))]
 pub struct Record<V: Pod> {
     pub lock: NoWaitLock,
     /// CPR database version of the record (paper: the integer stored with
@@ -39,12 +50,11 @@ pub struct Record<V: Pod> {
     /// `modified` as of the version shift — pairs with `stable` exactly
     /// as `modified` pairs with `live`.
     stable_modified: AtomicU64,
-    /// Tombstone flag for `live` (1 = deleted). Deleted records keep their
-    /// slot — the version-shift machinery needs the record to exist so
-    /// deletes cross the live/stable path like writes do.
-    dead: AtomicU64,
-    /// `dead` as of the version shift — pairs with `stable`.
-    stable_dead: AtomicU64,
+    /// Tombstone bits, [`DEAD`] for `live` and [`STABLE_DEAD`] for
+    /// `stable`. Deleted records keep their slot — the version-shift
+    /// machinery needs the record to exist so deletes cross the
+    /// live/stable path like writes do. Written under the exclusive lock.
+    flags: AtomicU64,
     live: UnsafeCell<V>,
     stable: UnsafeCell<V>,
 }
@@ -58,33 +68,43 @@ impl<V: Pod> Record<V> {
     /// A record whose content is already valid (pre-load / recovery):
     /// `birth` is set to `version`.
     pub fn new(version: u64, value: V) -> Self {
-        Record {
-            lock: NoWaitLock::new(),
-            version: AtomicU64::new(version),
-            birth: AtomicU64::new(version),
-            modified: AtomicU64::new(version),
-            stable_modified: AtomicU64::new(version),
-            dead: AtomicU64::new(0),
-            stable_dead: AtomicU64::new(0),
-            live: UnsafeCell::new(value),
-            stable: UnsafeCell::new(value),
-        }
+        Self::with_birth(version, version, value)
     }
 
     /// A placeholder created by a running transaction; it becomes visible
     /// to checkpoints and reads only after its first committed write sets
     /// `birth`.
     pub fn uninitialized(version: u64, value: V) -> Self {
+        Self::with_birth(version, 0, value)
+    }
+
+    fn with_birth(version: u64, birth: u64, value: V) -> Self {
         Record {
             lock: NoWaitLock::new(),
             version: AtomicU64::new(version),
-            birth: AtomicU64::new(0),
-            modified: AtomicU64::new(0),
-            stable_modified: AtomicU64::new(0),
-            dead: AtomicU64::new(0),
-            stable_dead: AtomicU64::new(0),
+            birth: AtomicU64::new(birth),
+            modified: AtomicU64::new(birth),
+            stable_modified: AtomicU64::new(birth),
+            flags: AtomicU64::new(0),
             live: UnsafeCell::new(value),
             stable: UnsafeCell::new(value),
+        }
+    }
+
+    /// Fill a slot the table has claimed but not yet published — the
+    /// in-place form of [`Record::new`] (`birth = version`) or
+    /// [`Record::uninitialized`] (`birth = 0`). The slot must be
+    /// unlocked and unreachable by any other thread.
+    pub(crate) fn init(&self, version: u64, birth: u64, value: V) {
+        self.version.store(version, Ordering::Relaxed);
+        self.birth.store(birth, Ordering::Relaxed);
+        self.modified.store(birth, Ordering::Relaxed);
+        self.stable_modified.store(birth, Ordering::Relaxed);
+        self.flags.store(0, Ordering::Relaxed);
+        // SAFETY: the slot is unpublished, so no other thread reads it.
+        unsafe {
+            *self.live.get() = value;
+            *self.stable.get() = value;
         }
     }
 
@@ -127,26 +147,30 @@ impl<V: Pod> Record<V> {
         unsafe { *self.stable.get() = *self.live.get() }
         self.stable_modified
             .store(self.modified.load(Ordering::Relaxed), Ordering::Release);
-        self.stable_dead
-            .store(self.dead.load(Ordering::Relaxed), Ordering::Release);
+        let f = self.flags.load(Ordering::Relaxed);
+        let stable = if f & DEAD != 0 { STABLE_DEAD } else { 0 };
+        self.flags
+            .store((f & !STABLE_DEAD) | stable, Ordering::Release);
     }
 
     /// Tombstone state of `live`. Read under any lock.
     #[inline]
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire) != 0
+        self.flags.load(Ordering::Acquire) & DEAD != 0
     }
 
     /// Set/clear the live tombstone. Caller must hold the exclusive lock.
     #[inline]
     pub fn set_dead(&self, dead: bool) {
-        self.dead.store(dead as u64, Ordering::Release);
+        let f = self.flags.load(Ordering::Relaxed);
+        let f = if dead { f | DEAD } else { f & !DEAD };
+        self.flags.store(f, Ordering::Release);
     }
 
     /// Tombstone state as captured at the last version shift.
     #[inline]
     pub fn stable_dead(&self) -> bool {
-        self.stable_dead.load(Ordering::Acquire) != 0
+        self.flags.load(Ordering::Acquire) & STABLE_DEAD != 0
     }
 
     /// Version of the most recent write to `live`.
@@ -191,6 +215,31 @@ impl<V: Pod> Record<V> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn u64_record_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Record<u64>>(), 64);
+        assert_eq!(std::mem::align_of::<Record<u64>>(), 64);
+        // Wider values round up to whole lines.
+        assert_eq!(std::mem::size_of::<Record<[u64; 4]>>(), 128);
+    }
+
+    #[test]
+    fn tombstones_cross_the_version_shift() {
+        let r = Record::new(1, 7u64);
+        assert!(r.lock.try_exclusive());
+        r.set_dead(true);
+        assert!(r.is_dead());
+        assert!(!r.stable_dead(), "stable keeps its pre-shift tombstone");
+        r.copy_live_to_stable();
+        assert!(r.stable_dead());
+        r.set_dead(false);
+        assert!(!r.is_dead());
+        assert!(r.stable_dead(), "live writes leave stable alone");
+        r.copy_live_to_stable();
+        assert!(!r.stable_dead());
+        r.lock.release_exclusive();
+    }
 
     #[test]
     fn shared_locks_stack() {

@@ -589,3 +589,73 @@ fn incremental_equals_full_recovery() {
         assert_eq!(a.read(k), b.read(k), "key {k}: incremental vs full differ");
     }
 }
+
+/// Retention: a full commit leaves only itself on disk, an incremental
+/// chain keeps every checkpoint recovery reads, and the first full commit
+/// after a chain removes the whole chain.
+#[test]
+fn retention_keeps_exactly_what_recovery_reads() {
+    let dir = tempfile::tempdir().unwrap();
+    let mk = |inc: bool| {
+        MemDb::builder(Durability::Cpr)
+            .dir(dir.path())
+            .capacity(64)
+            .incremental(inc)
+    };
+    // Retention runs on the capture thread after the commit is
+    // published: wait for the directory to settle at `n` checkpoints.
+    let settled = |n: usize| {
+        let store = cpr_storage::CheckpointStore::open(dir.path()).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while std::fs::read_dir(dir.path()).unwrap().count() != n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "never {n} checkpoints"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        store.tokens().unwrap()
+    };
+    // Write `key = round` for a few keys, then commit with no session open.
+    let round = |db: &MemDb<u64>, round: u64| {
+        let mut s = db.session(0);
+        let mut reads = Vec::new();
+        for k in round..round + 4 {
+            let accesses = [(k, cpr_memdb::Access::Write)];
+            let seeds = [round];
+            let txn = cpr_memdb::TxnRequest {
+                accesses: &accesses,
+                write_seeds: &seeds,
+            };
+            while s.execute(&txn, &mut reads).is_err() {}
+        }
+        drop(s);
+        db.commit_and_wait(Duration::from_secs(20)).unwrap();
+    };
+
+    let db: MemDb<u64> = mk(false).open().unwrap();
+    for r in 1..=3 {
+        round(&db, r);
+    }
+    drop(db);
+    settled(1);
+
+    let (db, _) = mk(true).recover().unwrap();
+    for r in 4..=5 {
+        round(&db, r);
+    }
+    drop(db);
+    // A delta chain keeps its full base.
+    let chain = settled(3);
+
+    let (db, _) = mk(false).recover().unwrap();
+    round(&db, 6);
+    drop(db);
+    let left = settled(1);
+    assert!(left[0] > chain[2], "the chain is gone");
+    let (db, _) = mk(false).recover().unwrap();
+    // Key k was last written by round min(k, 6).
+    for k in 1..=9u64 {
+        assert_eq!(db.read(k), Some(k.min(6)), "key {k}");
+    }
+}

@@ -87,26 +87,26 @@ impl CheckpointStore {
     /// crash mid-write) and still reports failure; `Fail`/`Crashed`
     /// verdicts leave no trace. Fault-free writes are atomic
     /// (temp + rename) and synced.
-    fn write_injected(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+    fn write_injected(&self, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         let issued = self.metrics.as_ref().map(|m| {
-            m.storage_write_issued(data.len() as u64);
+            m.storage_write_issued(len as u64);
             (m, std::time::Instant::now())
         });
-        let res = self.write_injected_inner(path, data);
+        let res = self.write_injected_inner(path, parts, len);
         if let Some((m, t0)) = issued {
             m.storage_write_done(t0.elapsed());
         }
         res
     }
 
-    fn write_injected_inner(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+    fn write_injected_inner(&self, path: &Path, parts: &[&[u8]], len: usize) -> io::Result<()> {
         if let Some(inj) = &self.injector {
             match inj.next_io() {
                 IoVerdict::Ok => {}
                 IoVerdict::Fail | IoVerdict::Crashed => return Err(inj.error()),
                 IoVerdict::Torn { keep } => {
-                    let keep = keep.min(data.len());
-                    fs::write(path, &data[..keep])?;
+                    Self::write_body(path, parts, keep.min(len))?;
                     return Err(inj.error());
                 }
                 IoVerdict::Delay { millis } => {
@@ -115,32 +115,39 @@ impl CheckpointStore {
             }
         }
         let tmp = path.with_extension("tmp");
-        Self::write_body(&tmp, data)?;
+        Self::write_body(&tmp, parts, len)?;
         fs::File::open(&tmp)?.sync_data()?;
         fs::rename(&tmp, path)?;
         Ok(())
     }
 
-    /// Write the file body, striping large payloads across
-    /// `CPR_IO_THREADS` positioned writers. The fault verdict was already
-    /// drawn by the caller — whole-file atomicity (temp + rename) and
-    /// one-op accounting are unchanged; only the copy is parallel.
-    fn write_body(path: &Path, data: &[u8]) -> io::Result<()> {
+    /// Write the first `len` bytes of the concatenated `parts` as the
+    /// file body, striping large payloads across `CPR_IO_THREADS`
+    /// positioned writers. The fault verdict was already drawn by the
+    /// caller — whole-file atomicity (temp + rename) and one-op
+    /// accounting are unchanged; only the copy is parallel.
+    fn write_body(path: &Path, parts: &[&[u8]], len: usize) -> io::Result<()> {
         const PARALLEL_THRESHOLD: usize = 8 << 20;
         let threads = crate::device::env_io_threads();
-        if threads <= 1 || data.len() < PARALLEL_THRESHOLD {
-            return fs::write(path, data);
-        }
-        use std::os::unix::fs::FileExt;
-        let file = fs::File::create(path)?;
-        file.set_len(data.len() as u64)?;
-        let chunk = data.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let mut joins = Vec::with_capacity(threads);
-            for (i, slice) in data.chunks(chunk).enumerate() {
-                let file = &file;
-                joins.push(s.spawn(move || file.write_all_at(slice, (i * chunk) as u64)));
+        if let [data] = parts {
+            if threads <= 1 || len < PARALLEL_THRESHOLD {
+                return fs::write(path, &data[..len]);
             }
+        }
+        let file = fs::File::create(path)?;
+        if threads <= 1 || len < PARALLEL_THRESHOLD {
+            return write_range(&file, parts, 0..len);
+        }
+        file.set_len(len as u64)?;
+        let chunk = len.div_ceil(threads);
+        std::thread::scope(|s| {
+            let joins: Vec<_> = (0..len)
+                .step_by(chunk)
+                .map(|lo| {
+                    let file = &file;
+                    s.spawn(move || write_range(file, parts, lo..(lo + chunk).min(len)))
+                })
+                .collect();
             for j in joins {
                 j.join().expect("checkpoint writer panicked")?;
             }
@@ -210,7 +217,16 @@ impl CheckpointStore {
     /// Write a named data file inside `token`'s directory, subject to
     /// fault injection (one storage operation).
     pub fn write_file(&self, token: u64, name: &str, data: &[u8]) -> io::Result<()> {
-        self.write_injected(&self.file(token, name), data)
+        self.write_injected(&self.file(token, name), &[data])
+    }
+
+    /// Write a named data file whose bytes are the concatenation of
+    /// `parts`, without concatenating them in memory. Exactly like
+    /// [`CheckpointStore::write_file`] of the joined bytes: one storage
+    /// operation under fault injection, and a torn verdict keeps a prefix
+    /// of the joined bytes.
+    pub fn write_file_parts(&self, token: u64, name: &str, parts: &[&[u8]]) -> io::Result<()> {
+        self.write_injected(&self.file(token, name), parts)
     }
 
     /// Read a named data file from `token`'s directory, subject to read
@@ -247,24 +263,24 @@ impl CheckpointStore {
     /// `manifest.json` that recovery must treat as uncommitted).
     pub fn commit(&self, manifest: &CheckpointManifest) -> io::Result<()> {
         let path = self.dir(manifest.token).join("manifest.json");
-        self.write_injected(&path, manifest.to_json().as_bytes())?;
+        self.write_injected(&path, &[manifest.to_json().as_bytes()])?;
         self.open.lock().remove(&manifest.token);
         Ok(())
     }
 
     /// Delete every checkpoint directory whose token is below `below`,
-    /// except `keep` and checkpoints still being written. Uncommitted
-    /// leftovers (an earlier crash) go too. Returns how many were
-    /// deleted.
+    /// except the tokens in `keep` and checkpoints still being written.
+    /// Uncommitted leftovers (an earlier crash) go too. Returns how many
+    /// were deleted.
     ///
     /// Each directory loses its `manifest.json` first, so one that a
     /// crash leaves half-deleted reads as uncommitted. Under fault
     /// injection each of the two steps is one *delete* operation (see
     /// [`FaultInjector::next_delete_io`]); a crash stops the pass and
     /// freezes the directory as it is.
-    pub fn remove_older(&self, below: u64, keep: Option<u64>) -> io::Result<usize> {
+    pub fn remove_older(&self, below: u64, keep: &[u64]) -> io::Result<usize> {
         let mut doomed = Self::dir_tokens(&self.root)?;
-        doomed.retain(|&t| t < below && Some(t) != keep);
+        doomed.retain(|t| *t < below && !keep.contains(t));
         doomed.sort_unstable();
         let mut removed = 0;
         for tok in doomed {
@@ -339,6 +355,22 @@ impl CheckpointStore {
     pub fn root(&self) -> &Path {
         &self.root
     }
+}
+
+/// Write the bytes `range` of the concatenated `parts` at the same
+/// offsets in `file`.
+fn write_range(file: &fs::File, parts: &[&[u8]], range: std::ops::Range<usize>) -> io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    let mut start = 0;
+    for part in parts {
+        let end = start + part.len();
+        let (lo, hi) = (range.start.max(start), range.end.min(end));
+        if lo < hi {
+            file.write_all_at(&part[lo - start..hi - start], lo as u64)?;
+        }
+        start = end;
+    }
+    Ok(())
 }
 
 fn ignore_missing(r: io::Result<()>) -> io::Result<()> {
@@ -554,7 +586,7 @@ mod tests {
         // A leftover from a crash: data but no manifest.
         std::fs::create_dir_all(store.dir(0)).unwrap();
         std::fs::write(store.file(0, "index.dat"), b"junk").unwrap();
-        let removed = store.remove_older(tokens[3], Some(tokens[1])).unwrap();
+        let removed = store.remove_older(tokens[3], &[tokens[1]]).unwrap();
         assert_eq!(removed, 3, "tokens 0, {} and {}", tokens[0], tokens[2]);
         assert!(!store.dir(0).exists());
         assert!(
@@ -568,7 +600,7 @@ mod tests {
         // Once aborted, the open checkpoint goes too.
         store.abort(open).unwrap();
         std::fs::create_dir_all(store.dir(open)).unwrap();
-        assert_eq!(store.remove_older(tokens[3], Some(tokens[1])).unwrap(), 1);
+        assert_eq!(store.remove_older(tokens[3], &[tokens[1]]).unwrap(), 1);
         assert!(!store.dir(open).exists());
     }
 
@@ -591,7 +623,7 @@ mod tests {
         let writes = inj.op_count();
         // Delete op 0 removes t1's manifest; crash at op 1, its directory.
         inj.crash_delete_after(1);
-        assert!(store.remove_older(t2, None).is_err());
+        assert!(store.remove_older(t2, &[]).is_err());
         assert!(inj.crashed());
         assert_eq!(inj.op_count(), writes, "deletes draw no write-op numbers");
         assert!(store.file(t1, "index.dat").exists(), "frozen mid-delete");
@@ -600,8 +632,32 @@ mod tests {
         assert_eq!(store.tokens().unwrap(), vec![t2]);
         // A fault-free pass later removes the leftover.
         let store = CheckpointStore::open(dir.path()).unwrap();
-        assert_eq!(store.remove_older(t2, None).unwrap(), 1);
+        assert_eq!(store.remove_older(t2, &[]).unwrap(), 1);
         assert!(!store.dir(t1).exists());
+    }
+
+    #[test]
+    fn parts_write_like_their_concatenation() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        let dir = tempfile::tempdir().unwrap();
+        let inj = std::sync::Arc::new(FaultInjector::new(FaultPlan::new()));
+        let store =
+            CheckpointStore::open_with(dir.path(), Some(std::sync::Arc::clone(&inj))).unwrap();
+        let t = store.begin().unwrap();
+        let parts: [&[u8]; 4] = [b"head", b"", b"-middle-", b"tail"];
+        store.write_file_parts(t, "db.dat", &parts).unwrap();
+        assert_eq!(inj.op_count(), 1, "one storage op for all parts");
+        assert_eq!(
+            std::fs::read(store.file(t, "db.dat")).unwrap(),
+            b"head-middle-tail"
+        );
+        // A torn write keeps a prefix of the joined bytes.
+        inj.torn_after(0, 7);
+        assert!(store.write_file_parts(t, "torn.dat", &parts).is_err());
+        assert_eq!(
+            std::fs::read(store.file(t, "torn.dat")).unwrap(),
+            b"head-mi"
+        );
     }
 
     #[test]

@@ -849,6 +849,94 @@ fn faster_retention_crash_mid_delete() {
     }
 }
 
+fn memdb_retention_crash_case(seed: u64, crash_at_delete: u64) {
+    let tag = format!("memdb retention crash@delete{crash_at_delete} seed={seed:#018x}");
+    println!("{tag}");
+    let dir = tempfile::tempdir().unwrap();
+    let root = dir.path();
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let mut ops = gen_ops(seed, 40);
+    let ops_b = gen_ops(seed ^ SPLIT, 25);
+    let first;
+    {
+        let db: MemDb<u64> = memdb_opts(root, Some(inj.clone())).open().unwrap();
+        let mut s = db.session(1);
+        for &op in &ops {
+            memdb_exec(&mut s, op);
+        }
+        assert!(db.request_commit(), "{tag}");
+        assert!(
+            memdb_pump(&db, &mut s, 1, 0, &tag),
+            "first commit must land: {tag}"
+        );
+        first = CheckpointStore::open(root).unwrap().tokens().unwrap();
+        assert_eq!(first.len(), 1, "{tag}");
+        for &op in &ops_b {
+            memdb_exec(&mut s, op);
+        }
+        ops.extend(ops_b);
+        // Delete op 0 removes the first checkpoint's manifest, op 1 its
+        // directory.
+        inj.crash_delete_after(crash_at_delete);
+        let (_, v) = db.state();
+        assert!(db.request_commit(), "{tag}");
+        assert!(
+            memdb_pump(&db, &mut s, v, 0, &tag),
+            "second commit must land: {tag}"
+        );
+        let deadline = Instant::now() + PUMP_DEADLINE;
+        while !inj.crashed() {
+            assert!(
+                Instant::now() < deadline,
+                "retention never reached the crash: {tag}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        memdb_wait_rest(&db, &mut s, &tag);
+    }
+    // Frozen mid-delete: the first directory is still there, with its
+    // manifest only if the crash came before the manifest's deletion.
+    assert!(root.join(format!("cpt.{}", first[0])).exists(), "{tag}");
+    let committed = CheckpointStore::open(root).unwrap().tokens().unwrap();
+    assert_eq!(
+        committed.len(),
+        if crash_at_delete == 0 { 2 } else { 1 },
+        "{tag}"
+    );
+
+    let (db, manifest) = memdb_opts(root, None).recover().unwrap();
+    let manifest = manifest.unwrap_or_else(|| panic!("committed checkpoint lost: {tag}"));
+    assert_eq!(manifest.version, 2, "{tag}");
+    assert_eq!(manifest.cpr_point(1), Some(ops.len() as u64), "{tag}");
+    let model = model_replay(&ops);
+    for key in 0..KEYS {
+        assert_eq!(db.read(key), model.get(&key).copied(), "key {key}: {tag}");
+    }
+    // The next commit removes the leftover.
+    let (mut s, _) = db.continue_session(1);
+    let (_, v) = db.state();
+    assert!(db.request_commit(), "{tag}");
+    assert!(
+        memdb_pump(&db, &mut s, v, 0, &tag),
+        "third commit must land: {tag}"
+    );
+    let deadline = Instant::now() + PUMP_DEADLINE;
+    while std::fs::read_dir(root).unwrap().count() > 1 {
+        assert!(Instant::now() < deadline, "leftover never removed: {tag}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// memdb checkpoint retention: crash before, then after, the superseded
+/// checkpoint's manifest is deleted.
+#[test]
+fn memdb_retention_crash_mid_delete() {
+    let base = 0x4e7a_1000_0000_0005u64;
+    for k in 0..2 {
+        memdb_retention_crash_case(base.wrapping_add(k), k);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Killing recovery itself: a recovery attempt that dies on checkpoint
 // reads, scan reads, invalidation-marker writes, or (for snapshots) the
