@@ -179,9 +179,6 @@ fn serialize<V: DbValue>(
         let range = slots * w / threads..slots * (w + 1) / threads;
         capture_shard(inner, v, base, range)
     };
-    if threads == 1 {
-        return shard(0).map(|s| vec![s]);
-    }
     std::thread::scope(|sc| {
         let shard = &shard;
         let rest: Vec<_> = (1..threads).map(|w| sc.spawn(move || shard(w))).collect();
@@ -304,7 +301,8 @@ pub(crate) fn load<V: DbValue>(
         ));
     }
     let count = u64::from_le_bytes(data[..8].try_into().unwrap()) as usize;
-    if data.len() < 8 + count * rec_size {
+    let needed = count.checked_mul(rec_size).and_then(|n| n.checked_add(8));
+    if needed.is_none_or(|n| data.len() < n) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("checkpoint expects {count} records, file too short"),
@@ -324,9 +322,14 @@ pub(crate) fn load<V: DbValue>(
             let dead = flags & FLAG_TOMBSTONE != 0;
             off += rec_size;
             if let Some(first) = block {
-                inner
-                    .table
-                    .publish_unique(first + i, key, manifest.version, value, dead);
+                // SAFETY: the table was empty when the block was claimed,
+                // each worker fills only its own entries' slots, and a
+                // checkpoint file holds each key at most once.
+                unsafe {
+                    inner
+                        .table
+                        .publish_unique(first + i, key, manifest.version, value, dead)
+                };
                 continue;
             }
             // Delta chains re-load keys: later (newer) checkpoints
@@ -451,6 +454,24 @@ mod tests {
         rec.lock.release_exclusive();
         load(&db.inner, &store, &manifest).unwrap();
         assert_eq!(db.read(7), Some(42));
+    }
+
+    /// A record count whose byte size overflows is a short file, not a
+    /// wrapped size check.
+    #[test]
+    fn load_rejects_overflowing_record_count() {
+        let dir = tempfile::tempdir().unwrap();
+        let store = CheckpointStore::open(dir.path()).unwrap();
+        let token = store.begin().unwrap();
+        let mut buf = (1u64 << 62).to_le_bytes().to_vec();
+        buf.extend_from_slice(&[0; 24]);
+        store.write_file(token, "db.dat", &buf).unwrap();
+        let manifest = CheckpointManifest::new(token, CheckpointKind::Database, 1);
+        store.commit(&manifest).unwrap();
+        let db: MemDb<u64> = MemDb::builder(Durability::None).open().unwrap();
+        let err = load(&db.inner, &store, &manifest).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(db.is_empty());
     }
 
     /// A table grown far past its capacity hint by racing runtime inserts

@@ -93,15 +93,18 @@ impl<V: Pod> Record<V> {
 
     /// Fill a slot the table has claimed but not yet published — the
     /// in-place form of [`Record::new`] (`birth = version`) or
-    /// [`Record::uninitialized`] (`birth = 0`). The slot must be
-    /// unlocked and unreachable by any other thread.
-    pub(crate) fn init(&self, version: u64, birth: u64, value: V) {
+    /// [`Record::uninitialized`] (`birth = 0`).
+    ///
+    /// # Safety
+    /// The record must be unlocked, and no other thread may access it
+    /// until it is published.
+    pub(crate) unsafe fn init(&self, version: u64, birth: u64, value: V) {
         self.version.store(version, Ordering::Relaxed);
         self.birth.store(birth, Ordering::Relaxed);
         self.modified.store(birth, Ordering::Relaxed);
         self.stable_modified.store(birth, Ordering::Relaxed);
         self.flags.store(0, Ordering::Relaxed);
-        // SAFETY: the slot is unpublished, so no other thread reads it.
+        // SAFETY: no other thread accesses the record (caller contract).
         unsafe {
             *self.live.get() = value;
             *self.stable.get() = value;

@@ -187,7 +187,7 @@ impl<V: Pod> Table<V> {
     /// The record in `slot` (an id returned by
     /// [`Table::get_or_insert_slot`]).
     #[inline]
-    pub fn record(&self, slot: u32) -> &Record<V> {
+    pub(crate) fn record(&self, slot: u32) -> &Record<V> {
         self.entry(slot as usize).0
     }
 
@@ -249,7 +249,7 @@ impl<V: Pod> Table<V> {
     /// [`Table::get_or_insert`], returning the record's slot id instead
     /// (see [`Table::record`]).
     #[inline]
-    pub fn get_or_insert_slot(&self, key: u64, version: u64, default: V) -> (u32, bool) {
+    pub(crate) fn get_or_insert_slot(&self, key: u64, version: u64, default: V) -> (u32, bool) {
         self.find_or_insert(key, version, 0, default)
     }
 
@@ -264,7 +264,11 @@ impl<V: Pod> Table<V> {
         let (i, off) = locate(slot);
         let chunk = self.chunk_or_alloc(i);
         let (rec, link) = (&chunk.records()[off], &chunk.links()[off]);
-        rec.init(version, birth, value);
+        // SAFETY: this thread claimed the slot, so it is zeroed (unlocked)
+        // and unreachable: no chain holds it, and scans skip it until
+        // LINKED is set below.
+        unsafe { rec.init(version, birth, value) };
+        // Relaxed: published with the slot by the Release store of `next`.
         link.key.store(key, Ordering::Relaxed);
         let enc = slot as u32 + 1;
         loop {
@@ -294,7 +298,7 @@ impl<V: Pod> Table<V> {
     pub(crate) fn claim_block(&self, n: usize) -> usize {
         let first = self.claimed.fetch_add(n, Ordering::Relaxed);
         assert!(
-            first + n <= MAX_SLOTS,
+            first.checked_add(n).is_some_and(|end| end <= MAX_SLOTS),
             "memdb table full ({MAX_SLOTS} slots)"
         );
         if n > 0 {
@@ -308,13 +312,25 @@ impl<V: Pod> Table<V> {
         first
     }
 
-    /// Fill `slot` (from [`Table::claim_block`]) with a record for `key`
-    /// born at `version`, and publish it without looking `key` up. The
-    /// caller guarantees that no record for `key` exists or is being
-    /// inserted.
-    pub(crate) fn publish_unique(&self, slot: usize, key: u64, version: u64, value: V, dead: bool) {
+    /// Fill `slot` with a record for `key` born at `version`, and publish
+    /// it without looking `key` up.
+    ///
+    /// # Safety
+    /// `slot` comes from a [`Table::claim_block`] and is filled only
+    /// once. No record for `key` may exist or be inserted concurrently
+    /// (else the key would be in the table twice).
+    pub(crate) unsafe fn publish_unique(
+        &self,
+        slot: usize,
+        key: u64,
+        version: u64,
+        value: V,
+        dead: bool,
+    ) {
         let (rec, link) = self.entry(slot);
-        rec.init(version, version, value);
+        // SAFETY: a claimed, unfilled slot is zeroed (unlocked) and in no
+        // chain, and scans skip it until LINKED is set below.
+        unsafe { rec.init(version, version, value) };
         rec.set_dead(dead);
         link.key.store(key, Ordering::Relaxed);
         let bucket = self.bucket(key);
@@ -376,7 +392,7 @@ impl<V: Pod> Table<V> {
 
     /// Number of slots claimed so far: slot scans cover sub-ranges of
     /// `0..slot_count()` (see [`Table::for_each_in_slots`]).
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.claimed.load(Ordering::Acquire).min(MAX_SLOTS)
     }
 
@@ -385,7 +401,11 @@ impl<V: Pod> Table<V> {
     /// records, and concatenating `0..k`, `k..n` visits in the order of
     /// `0..n`. A slot whose insert is racing a scan may be visited while
     /// it is still a placeholder (birth 0).
-    pub fn for_each_in_slots(&self, range: Range<usize>, mut f: impl FnMut(u64, &Record<V>)) {
+    pub(crate) fn for_each_in_slots(
+        &self,
+        range: Range<usize>,
+        mut f: impl FnMut(u64, &Record<V>),
+    ) {
         let mut slot = range.start;
         while slot < range.end {
             let (i, off) = locate(slot);
@@ -553,6 +573,26 @@ mod tests {
             let expect: Vec<u64> = (0..rows).map(|k| k * 7).collect();
             assert_eq!(keys, expect, "{shards} shards");
         }
+    }
+
+    #[test]
+    fn slot_scans_skip_holes() {
+        let t: Table<u64> = Table::new(16);
+        t.insert(1, 1, 10);
+        // What an insert of key 1 that lost its race leaves behind: a
+        // filled slot whose link never kept LINKED.
+        let slot = t.claimed.fetch_add(1, Ordering::Relaxed);
+        t.chunk_or_alloc(locate(slot).0);
+        let (rec, link) = t.entry(slot);
+        // SAFETY: the slot was just claimed and is in no chain.
+        unsafe { rec.init(1, 1, 99) };
+        link.key.store(1, Ordering::Relaxed);
+        link.next.store(NIL, Ordering::Release);
+        t.insert(2, 1, 20);
+        let mut seen = Vec::new();
+        t.for_each_in_slots(0..t.slot_count(), |k, r| seen.push((k, r.read_live())));
+        assert_eq!(seen, vec![(1, 10), (2, 20)]);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl CheckpointStore {
     fn write_body(path: &Path, parts: &[&[u8]], len: usize) -> io::Result<()> {
         const PARALLEL_THRESHOLD: usize = 8 << 20;
         let threads = crate::device::env_io_threads();
-        if let [data] = parts {
-            if threads <= 1 || len < PARALLEL_THRESHOLD {
-                return fs::write(path, &data[..len]);
-            }
-        }
         let file = fs::File::create(path)?;
         if threads <= 1 || len < PARALLEL_THRESHOLD {
             return write_range(&file, parts, 0..len);
