@@ -68,7 +68,6 @@ fn run_fixed<V: cpr_core::Pod + From8>(
         .refresh_every(64)
         .grain(VersionGrain::Fine)
         .max_sessions(8)
-        .io_threads(2)
         .rmw(rmw)
         .open()
         .unwrap();

@@ -20,8 +20,8 @@ use cpr_workload::keys::KeyDist;
 use cpr_workload::ycsb::{OpKind, YcsbConfig, YcsbGenerator};
 
 use crate::args::Args;
-use crate::hist::Histogram;
 use crate::report::Report;
+use cpr_metrics::LatencyHistogram;
 
 pub fn stragglers(args: &Args) {
     let keys = args.u64("keys", 100_000);
@@ -124,7 +124,7 @@ fn run(
         .collect();
 
     // Commit loop: back-to-back fold-over commits, each latency sampled.
-    let hist = Histogram::new();
+    let hist = LatencyHistogram::new();
     let started = Instant::now();
     let mut ckpts = 0u64;
     let mut aborted = 0u64;
@@ -148,7 +148,7 @@ fn run(
             std::thread::sleep(Duration::from_micros(200));
         }
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        hist.record(t0.elapsed().as_nanos() as u64);
+        hist.record(t0.elapsed());
         max_ms = max_ms.max(ms);
         let out = kv.last_commit_outcome();
         ckpts += 1;
@@ -166,8 +166,8 @@ fn run(
         if watchdog { "on" } else { "off" }.into(),
         ckpts.to_string(),
         aborted.to_string(),
-        format!("{:.2}", hist.quantile(0.50) as f64 / 1e6),
-        format!("{:.2}", hist.quantile(0.99) as f64 / 1e6),
+        format!("{:.2}", hist.quantile_ns(0.50) as f64 / 1e6),
+        format!("{:.2}", hist.quantile_ns(0.99) as f64 / 1e6),
         format!("{max_ms:.2}"),
         format!(
             "{:.3}",

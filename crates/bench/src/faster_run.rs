@@ -9,7 +9,7 @@ use cpr_faster::{CheckpointVariant, FasterBuilder, FasterKv, HlogConfig, Status,
 use cpr_workload::keys::KeyDist;
 use cpr_workload::ycsb::{OpKind, YcsbConfig, YcsbGenerator};
 
-use crate::hist::Histogram;
+use cpr_metrics::LatencyHistogram;
 
 #[derive(Clone, Debug)]
 pub struct FasterRunConfig {
@@ -119,7 +119,7 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
         Arc::new((0..cfg.threads).map(|_| AtomicU64::new(0)).collect());
     let lat_sum_ns = Arc::new(AtomicU64::new(0));
     let lat_count = Arc::new(AtomicU64::new(0));
-    let lat_hist = Arc::new(Histogram::new());
+    let lat_hist = Arc::new(LatencyHistogram::new());
 
     let workers: Vec<_> = (0..cfg.threads)
         .map(|t| {
@@ -154,7 +154,7 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
                         let ns = t0.elapsed().as_nanos() as u64;
                         lat_sum.fetch_add(ns, Ordering::Relaxed);
                         lat_cnt.fetch_add(1, Ordering::Relaxed);
-                        lat_hist.record(ns);
+                        lat_hist.record_ns(ns);
                     }
                     n += 1;
                     op_counts[t].fetch_add(1, Ordering::Relaxed);
@@ -226,9 +226,9 @@ pub fn run_faster(cfg: &FasterRunConfig) -> FasterRunResult {
             .into_iter()
             .map(|(p, d)| (p, d.as_secs_f64()))
             .collect(),
-        lat_p50_us: lat_hist.quantile(0.50) as f64 / 1000.0,
-        lat_p95_us: lat_hist.quantile(0.95) as f64 / 1000.0,
-        lat_p99_us: lat_hist.quantile(0.99) as f64 / 1000.0,
+        lat_p50_us: lat_hist.quantile_ns(0.50) as f64 / 1000.0,
+        lat_p95_us: lat_hist.quantile_ns(0.95) as f64 / 1000.0,
+        lat_p99_us: lat_hist.quantile_ns(0.99) as f64 / 1000.0,
     }
 }
 

@@ -15,10 +15,17 @@
 //! * [`SessionRegistry`] — per-session published state used both for the
 //!   "all sessions have entered phase P" trigger conditions and for
 //!   recording per-session CPR points;
-//! * [`manifest`] — durable checkpoint metadata.
+//! * [`manifest`] — durable checkpoint metadata;
+//! * the protocol core both engines embed: [`CommitCore`] (the store's
+//!   commit bookkeeping and the one place committed versions are
+//!   published), [`Participant`] (one session's part: attach, refresh,
+//!   CPR points, detach), and the one [`watchdog`] loop with each engine's
+//!   [`watchdog::Remedies`].
 
+pub mod commit;
 pub mod liveness;
 pub mod manifest;
+mod participant;
 mod phase;
 pub mod resume;
 mod sessions;
@@ -26,11 +33,14 @@ mod state;
 pub mod sync;
 pub mod value;
 mod version;
+pub mod watchdog;
 
+pub use commit::{CommitCallback, CommitCore, CprEngine};
 pub use liveness::{
     BusyState, Clock, CommitOutcome, LivenessConfig, SessionStatus, SystemClock, VirtualClock,
 };
 pub use manifest::{CheckpointKind, CheckpointManifest, SessionCpr};
+pub use participant::{Entry, Participant, Refreshed};
 pub use phase::Phase;
 pub use resume::{CommitPoint, DetachedSessions};
 pub use sessions::{SessionId, SessionInfo, SessionRegistry, SessionSlot};

@@ -92,6 +92,13 @@ impl SessionSlot {
     }
 }
 
+/// True iff the view `(p, v)` has reached `(phase, version)`: a strictly
+/// larger version, or the same version at a phase at least `phase`.
+#[inline]
+pub fn at_least((p, v): (Phase, u64), phase: Phase, version: u64) -> bool {
+    v > version || (v == version && p >= phase)
+}
+
 /// Registry of active sessions, sized at construction.
 #[derive(Debug)]
 pub struct SessionRegistry {
@@ -350,45 +357,35 @@ impl SessionRegistry {
     }
 
     /// Occupied, non-evicted slots that have **not** reached
-    /// `(phase, version)` — the sessions holding the commit back.
-    pub fn blockers(&self, phase: Phase, version: u64) -> Vec<(usize, SessionId)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let owner = s.owner.load(Ordering::Acquire);
-                if owner == 0 {
-                    return None;
-                }
-                if SessionStatus::from_u64(s.status.load(Ordering::SeqCst))
+    /// `(phase, version)`, as `(slot, guid)` — the sessions holding the
+    /// commit back. Evicted sessions are skipped: their dead thread will
+    /// never refresh, and their committed prefix is already fixed at
+    /// their (rolled-back) CPR point.
+    fn lagging(&self, phase: Phase, version: u64) -> impl Iterator<Item = (usize, SessionId)> + '_ {
+        self.slots.iter().enumerate().filter_map(move |(i, s)| {
+            let owner = s.owner.load(Ordering::Acquire);
+            if owner == 0
+                || SessionStatus::from_u64(s.status.load(Ordering::SeqCst))
                     == SessionStatus::Evicted
-                {
-                    return None;
-                }
-                let (p, v) = unpack(s.state.load(Ordering::Acquire));
-                let reached = v > version || (v == version && p >= phase);
-                (!reached).then_some((i, owner - 1))
-            })
-            .collect()
+            {
+                return None;
+            }
+            let view = unpack(s.state.load(Ordering::Acquire));
+            (!at_least(view, phase, version)).then_some((i, owner - 1))
+        })
     }
 
-    /// First occupied, non-evicted slot that has **not** reached
-    /// `(phase, version)`, as `(slot, guid)` — an allocation-free sample
-    /// for metrics ("which session is holding this transition back right
-    /// now"). Use [`SessionRegistry::blockers`] for the complete list.
+    /// Every session holding the commit back (see
+    /// [`SessionRegistry::all_at_least`]).
+    pub fn blockers(&self, phase: Phase, version: u64) -> Vec<(usize, SessionId)> {
+        self.lagging(phase, version).collect()
+    }
+
+    /// The first session holding the commit back, if any — an
+    /// allocation-free sample for metrics ("which session is holding this
+    /// transition back right now").
     pub fn first_blocker(&self, phase: Phase, version: u64) -> Option<(usize, SessionId)> {
-        self.slots.iter().enumerate().find_map(|(i, s)| {
-            let owner = s.owner.load(Ordering::Acquire);
-            if owner == 0 {
-                return None;
-            }
-            if SessionStatus::from_u64(s.status.load(Ordering::SeqCst)) == SessionStatus::Evicted {
-                return None;
-            }
-            let (p, v) = unpack(s.state.load(Ordering::Acquire));
-            let reached = v > version || (v == version && p >= phase);
-            (!reached).then_some((i, owner - 1))
-        })
+        self.lagging(phase, version).next()
     }
 
     /// Guid owning slot `idx`, if any.
@@ -407,24 +404,11 @@ impl SessionRegistry {
             .count()
     }
 
-    /// True iff every occupied slot has reached `(phase, version)` or
-    /// beyond — the trigger condition used by the commit state machines.
-    ///
-    /// "Beyond" means a strictly larger version, or the same version with a
-    /// phase at least `phase`. Evicted sessions are skipped: their dead
-    /// thread will never refresh, and their committed prefix is already
-    /// fixed at their (rolled-back) CPR point.
+    /// True iff every occupied, non-evicted slot has reached
+    /// `(phase, version)` or beyond — the trigger condition used by the
+    /// commit state machines.
     pub fn all_at_least(&self, phase: Phase, version: u64) -> bool {
-        self.slots.iter().all(|s| {
-            if s.owner.load(Ordering::Acquire) == 0 {
-                return true;
-            }
-            if SessionStatus::from_u64(s.status.load(Ordering::SeqCst)) == SessionStatus::Evicted {
-                return true;
-            }
-            let (p, v) = unpack(s.state.load(Ordering::Acquire));
-            v > version || (v == version && p >= phase)
-        })
+        self.lagging(phase, version).next().is_none()
     }
 
     /// Snapshot of (guid, cpr_point) for every occupied slot — the

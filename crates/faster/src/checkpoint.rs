@@ -9,14 +9,13 @@
 //! deleted (see `drop_superseded`), so the checkpoint directory holds
 //! what recovery can use, not one directory per commit ever made.
 
-use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use cpr_core::{CheckpointKind, CheckpointManifest, Phase, Pod, SessionCpr};
+use cpr_core::commit::finish_flush;
+use cpr_core::{CheckpointKind, CheckpointManifest, Phase, Pod};
 
-use crate::store::{mark_phase, CheckpointVariant, StoreInner};
+use crate::store::{CheckpointVariant, StoreInner};
 
 /// Complete the commit of version `v`: capture the volatile log (and
 /// optionally the index), persist the manifest, and return to `rest` at
@@ -37,51 +36,12 @@ pub(crate) fn run_wait_flush<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) {
     if committed.is_none() {
         // Failed attempt: remove the partial checkpoint (no-op if the
         // fault was a simulated crash — the torn state must survive for
-        // recovery) and count the failure so callers can observe it.
+        // recovery).
         let _ = inner.store.abort(token);
-        inner.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
     }
-
-    // Back to rest at v + 1 either way; only success publishes v.
     marks.push((Phase::Rest, started.elapsed()));
     *inner.last_phase_marks.lock() = marks;
-    let ok = inner
-        .state
-        .transition((Phase::WaitFlush, v), (Phase::Rest, v + 1));
-    debug_assert!(ok, "state machine out of sync at commit completion");
-    let _ = mark_phase::<V>; // (phase marks already pushed above)
-    if inner.metrics_on {
-        let out = inner.outcome.lock();
-        inner.metrics.checkpoints.end(
-            v,
-            committed.is_some(),
-            out.attempts as u64,
-            out.proxy_advanced.len() as u64,
-            out.evicted.len() as u64,
-        );
-    }
-    if let Some(manifest) = &committed {
-        // The manifest's points are now the durable baseline; detached
-        // entries it subsumes can be dropped.
-        {
-            let mut durable = inner.durable_points.lock();
-            for s in &manifest.sessions {
-                let e = durable.entry(s.guid).or_insert(0);
-                *e = (*e).max(s.cpr_point);
-            }
-        }
-        inner.detached.prune_committed(v);
-        // Observers run before the version is published, so a caller that
-        // sees `committed_version() >= v` knows they have seen `v`.
-        for cb in inner.commit_callbacks.lock().iter() {
-            cb(v, &manifest.sessions);
-        }
-        inner.committed_version.store(v, Ordering::Release);
-    }
-    {
-        let _g = inner.commit_lock.lock();
-        inner.commit_cv.notify_all();
-    }
+    finish_flush(&**inner, v, committed.as_ref());
     if let Some(manifest) = committed {
         drop_superseded(inner, &manifest);
     }
@@ -173,34 +133,9 @@ fn try_wait_flush<V: Pod>(
     manifest.index_begin = lis;
     manifest.index_end = lie;
     manifest.snapshot_start = snapshot_start;
-    manifest.sessions = session_points(inner, v);
+    manifest.sessions = inner.core.session_points(v);
     inner.store.commit(&manifest).ok()?;
     Some(manifest)
-}
-
-/// Per-session commit points for the manifest of version `v`: the newest
-/// durable points carried forward, detached sessions' deposited points,
-/// and the live registry snapshot, merged by max. Serials only grow per
-/// guid, so max picks the newest claim each source can justify (and a
-/// session that re-attached mid-checkpoint — registry point still 0 —
-/// keeps the point it deposited when it detached).
-pub(crate) fn session_points<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) -> Vec<SessionCpr> {
-    let mut points: HashMap<u64, u64> = inner.durable_points.lock().clone();
-    for (guid, p) in inner
-        .detached
-        .points_for(v)
-        .into_iter()
-        .chain(inner.registry.cpr_points())
-    {
-        let e = points.entry(guid).or_insert(0);
-        *e = (*e).max(p);
-    }
-    let mut out: Vec<SessionCpr> = points
-        .into_iter()
-        .map(|(guid, cpr_point)| SessionCpr { guid, cpr_point })
-        .collect();
-    out.sort_unstable_by_key(|s| s.guid);
-    out
 }
 
 /// Standalone fuzzy index checkpoint (paper Sec. 6.3): the index is
@@ -214,7 +149,7 @@ pub(crate) fn index_checkpoint<V: Pod>(inner: &Arc<StoreInner<V>>) -> io::Result
         inner.store.write_file(token, "index.dat", &dump)?;
         let lie = inner.hlog.tail();
         let mut manifest =
-            CheckpointManifest::new(token, CheckpointKind::Index, inner.state.version());
+            CheckpointManifest::new(token, CheckpointKind::Index, inner.core.state.version());
         manifest.index_begin = Some(lis);
         manifest.index_end = Some(lie);
         inner.store.commit(&manifest)?;
@@ -222,7 +157,7 @@ pub(crate) fn index_checkpoint<V: Pod>(inner: &Arc<StoreInner<V>>) -> io::Result
     })();
     if result.is_err() {
         let _ = inner.store.abort(token);
-        inner.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
+        inner.core.note_failure();
     }
     result
 }

@@ -43,18 +43,14 @@ mod prefetch;
 mod recovery;
 mod session;
 mod store;
-mod watchdog;
 
 pub use cpr_core::liveness::{
     Clock, CommitOutcome, LivenessConfig, SessionStatus, SystemClock, VirtualClock,
 };
-pub use cpr_core::{CheckpointVersion, SessionInfo};
+pub use cpr_core::{CheckpointVersion, CommitCallback, SessionInfo};
 pub use hlog::{HlogConfig, HybridLog};
 pub use index::HashIndex;
 pub use session::{
     BatchOp, BatchResult, Completion, FasterSession, OpKind, ReadResult, SessionStats, Status,
 };
-pub use store::{
-    CheckpointVariant, CommitCallback, FasterBuilder, FasterKv, FasterOptions, FasterStore,
-    VersionGrain,
-};
+pub use store::{CheckpointVariant, FasterBuilder, FasterKv, FasterStore, VersionGrain};

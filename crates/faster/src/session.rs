@@ -13,19 +13,20 @@
 //! their cache misses overlap the ops before them (DESIGN.md, "Batched
 //! execution and prefetch").
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cpr_core::liveness::{BusyState, Clock, SessionStatus};
-use cpr_core::{CheckpointVersion, Phase, Pod, SessionInfo};
+use cpr_core::liveness::{BusyState, SessionStatus};
+use cpr_core::{Entry, Participant, Phase, Pod, Refreshed, SessionInfo};
 
 use crate::addr::Address;
 use crate::header::{version13, Header};
 use crate::index::{key_hash, Slot};
 use crate::io::IoRead;
-use crate::store::{value_from_words, value_to_words, OfflineGuard, StoreInner, VersionGrain};
+use crate::store::{
+    release_pending, value_from_words, value_to_words, OfflineGuard, StoreInner, VersionGrain,
+};
 
 /// Result of a read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,23 +190,13 @@ pub struct FasterSession<V: Pod> {
 /// `Arc`'s reference count — a cache line every session would otherwise
 /// write on every op.
 struct SessionState<V: Pod> {
-    guard: cpr_epoch::Guard,
-    slot_idx: usize,
-    guid: u64,
-    phase: Phase,
-    version: u64,
-    serial: u64,
-    ops_since_refresh: u64,
+    /// The session's part in the CPR protocol; its serial is that of the
+    /// most recently *accepted* operation.
+    part: Participant,
     pending: Vec<Pending<V>>,
     completions: Vec<Completion<V>>,
-    pending_points: VecDeque<(u64, u64)>,
-    durable_serial: u64,
     scratch: Vec<u64>,
     scratch2: Vec<u64>,
-    /// Lease clock, present iff the store runs a liveness watchdog.
-    clock: Option<Arc<dyn Clock>>,
-    /// Cached "this session has been evicted" flag (set once, sticky).
-    evicted: bool,
     /// Test hook: runs right after the session enters an operation
     /// (busy = in-txn, before the op touches the log).
     pause_in_op: Option<Box<dyn FnMut() + Send>>,
@@ -213,38 +204,21 @@ struct SessionState<V: Pod> {
 
 impl<V: Pod> FasterSession<V> {
     pub(crate) fn new(store: Arc<StoreInner<V>>, guid: u64, start_serial: u64) -> Self {
-        let (phase, version) = store.state.load();
-        let slot_idx = store.registry.acquire(guid, phase, version);
-        store.registry.set_serial(slot_idx, start_serial);
-        let mut guard = store.epoch.register();
         let clock = store.liveness.as_ref().map(|l| Arc::clone(&l.clock));
-        if let Some(c) = &clock {
-            // Publish the epoch slot so the watchdog can reclaim it, stamp
-            // the lease, arm the thread-exit sentinel, and clear any
-            // offline-pending leftovers from a prior tenant of this slot.
-            store.registry.set_epoch_slot(slot_idx, guard.slot());
-            store.registry.heartbeat(slot_idx, c.now());
-            guard.arm_exit_sentinel();
-            store.offline_pending.lock().remove(&slot_idx);
+        let part = Participant::attach(&store.core, &store.epoch, guid, start_serial, clock);
+        if part.live() {
+            // Clear any offline-pending leftovers from a prior tenant of
+            // this slot.
+            store.offline_pending.lock().remove(&part.slot);
         }
         FasterSession {
             store,
             st: SessionState {
-                guard,
-                slot_idx,
-                guid,
-                phase,
-                version,
-                serial: start_serial,
-                ops_since_refresh: 0,
+                part,
                 pending: Vec::new(),
                 completions: Vec::new(),
-                pending_points: VecDeque::new(),
-                durable_serial: start_serial,
                 scratch: Vec::new(),
                 scratch2: Vec::new(),
-                clock,
-                evicted: false,
                 pause_in_op: None,
             },
             stats: SessionStats::default(),
@@ -260,35 +234,22 @@ impl<V: Pod> FasterSession<V> {
 
     /// True once the watchdog has evicted this session.
     pub fn is_evicted(&self) -> bool {
-        self.st.evicted
-            || (self.st.clock.is_some()
-                && self.store.registry.status(self.st.slot_idx) == SessionStatus::Evicted)
+        self.st.part.is_evicted(&self.store.core)
     }
 
     pub fn guid(&self) -> u64 {
-        self.st.guid
+        self.st.part.guid
     }
 
     /// Serial of the most recently accepted operation.
     pub fn serial(&self) -> u64 {
-        self.st.serial
-    }
-
-    /// Thread-local (phase, version) view.
-    #[deprecated(since = "0.2.0", note = "use `info()` instead")]
-    pub fn view(&self) -> (Phase, u64) {
-        (self.st.phase, self.st.version)
+        self.st.part.serial
     }
 
     /// Structured snapshot of the session's identity and thread-local
     /// CPR state.
     pub fn info(&self) -> SessionInfo {
-        SessionInfo {
-            guid: self.st.guid,
-            serial: self.st.serial,
-            phase: self.st.phase,
-            version: CheckpointVersion::from(self.st.version),
-        }
+        self.st.part.info()
     }
 
     /// Number of operations awaiting completion.
@@ -299,17 +260,7 @@ impl<V: Pod> FasterSession<V> {
     /// Largest serial known durable: every op with serial ≤ this survives
     /// a crash (the session's committed CPR prefix).
     pub fn durable_serial(&mut self) -> u64 {
-        let cv = self.store.committed_version.load(Ordering::Acquire);
-        let st = &mut self.st;
-        while let Some(&(v, s)) = st.pending_points.front() {
-            if v <= cv {
-                st.durable_serial = st.durable_serial.max(s);
-                st.pending_points.pop_front();
-            } else {
-                break;
-            }
-        }
-        st.durable_serial
+        self.st.part.durable_serial(&self.store.core)
     }
 
     /// Move completed formerly-pending results into `out`.
@@ -416,7 +367,7 @@ impl<V: Pod> FasterSession<V> {
             }
             return None;
         }
-        st.serial += 1;
+        st.part.serial += 1;
         match kind {
             OpKind::Read => self.stats.reads += 1,
             OpKind::Upsert => self.stats.upserts += 1,
@@ -435,36 +386,21 @@ impl<V: Pod> FasterSession<V> {
 
 impl<V: Pod> SessionState<V> {
     fn refresh(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) {
-        self.guard.refresh();
-        self.ops_since_refresh = 0;
-        if let Some(c) = &self.clock {
-            // Lease renewal: one relaxed store (plus one relaxed probe of
-            // the sticky eviction flag) — the whole hot-path liveness cost.
-            store.registry.heartbeat(self.slot_idx, c.now());
-            if self.evicted || store.registry.is_evicted(self.slot_idx) {
-                self.evicted = true;
-                self.drop_cancelled_pendings(store);
-                return;
-            }
-        }
-        let (gp, gv) = store.state.load();
-        if (gp, gv) != (self.phase, self.version) {
+        let pending = &mut self.pending;
+        let slot = self.part.slot;
+        let live = self.part.live();
+        let refreshed = self.part.refresh(&store.core, |(p, v), (gp, gv)| {
             // Entering prepare: protect pre-existing pending requests so
             // post-point writers cannot overtake them (paper Sec. 6.2.1).
-            if gp == Phase::Prepare && gv == self.version && self.phase == Phase::Rest {
-                self.protect_pendings(store);
+            if gp == Phase::Prepare && gv == v && p == Phase::Rest {
+                protect_pendings(store, pending, v, slot, live);
             }
-            let crossed = self.phase <= Phase::Prepare
-                && ((gv == self.version && gp >= Phase::InProgress) || gv > self.version);
-            if crossed {
-                let point = store.registry.mark_cpr_point(self.slot_idx);
-                self.pending_points.push_back((self.version, point));
-            }
-            self.phase = gp;
-            self.version = gv;
-            store.registry.publish(self.slot_idx, gp, gv);
+        });
+        if refreshed == Refreshed::Evicted {
+            self.drop_cancelled_pendings(store);
+            return;
         }
-        if self.phase != Phase::Rest {
+        if self.part.phase != Phase::Rest {
             // A commit is in flight: cede the CPU so the checkpoint and
             // device threads make progress even on a single core.
             std::thread::yield_now();
@@ -476,9 +412,9 @@ impl<V: Pod> SessionState<V> {
         if self.pending.is_empty() {
             return 0;
         }
-        let live = self.clock.is_some();
-        if live && (self.evicted || store.registry.is_evicted(self.slot_idx)) {
-            self.evicted = true;
+        let live = self.part.live();
+        if live && (self.part.evicted || store.core.registry.is_evicted(self.part.slot)) {
+            self.part.evicted = true;
             self.drop_cancelled_pendings(store);
             return 0;
         }
@@ -489,11 +425,11 @@ impl<V: Pod> SessionState<V> {
             // Pending retries apply writes: re-check ownership before each
             // one so an evicted session stops growing the database. A
             // merely-suspended session reactivates itself and proceeds.
-            if live && store.registry.status(self.slot_idx) != SessionStatus::Active {
-                if store.registry.await_reactivate(self.slot_idx) {
+            if live && store.core.registry.status(self.part.slot) != SessionStatus::Active {
+                if store.core.registry.await_reactivate(self.part.slot) {
                     continue;
                 }
-                self.evicted = true;
+                self.part.evicted = true;
                 break;
             }
             let op = &mut ops[i];
@@ -540,7 +476,7 @@ impl<V: Pod> SessionState<V> {
         }
         debug_assert!(self.pending.is_empty());
         self.pending = ops;
-        if self.evicted {
+        if self.part.evicted {
             self.drop_cancelled_pendings(store);
         }
         stats.completed_pending += completed as u64;
@@ -548,14 +484,14 @@ impl<V: Pod> SessionState<V> {
     }
 
     fn finish_pending(&mut self, store: &StoreInner<V>, op: &mut Pending<V>, value: Option<V>) {
-        if self.clock.is_some() {
+        if self.part.live() {
             // The offline-pending entry is the ownership token for this
             // op's protections: remove it and release per the *entry* (the
             // watchdog may hold a fresher view of the latches than the
             // local op after an eviction race).
             let owned = {
                 let mut map = store.offline_pending.lock();
-                map.get_mut(&self.slot_idx).and_then(|gs| {
+                map.get_mut(&self.part.slot).and_then(|gs| {
                     gs.iter()
                         .position(|g| g.serial == op.serial)
                         .map(|i| gs.swap_remove(i))
@@ -566,25 +502,13 @@ impl<V: Pod> SessionState<V> {
             let Some(g) = owned else {
                 // Cancelled by the watchdog: protections already released,
                 // the session is evicted, the result is dropped.
-                self.evicted = true;
+                self.part.evicted = true;
                 return;
             };
-            if let Some(b) = g.latch {
-                store.latches[b].release_shared();
-            }
-            if let Some(k) = g.guarded_key {
-                store.pending_v_keys.lock().remove(&k);
-            }
-            store.pending_count[(g.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+            release_pending(store, g.latch, g.guarded_key, g.tag);
         } else {
-            if let Some(b) = op.latch.take() {
-                store.latches[b].release_shared();
-            }
-            if op.guarded {
-                store.pending_v_keys.lock().remove(&op.key);
-                op.guarded = false;
-            }
-            store.pending_count[(op.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+            let guarded_key = std::mem::take(&mut op.guarded).then_some(op.key);
+            release_pending(store, op.latch.take(), guarded_key, op.tag);
         }
         self.completions.push(Completion {
             serial: op.serial,
@@ -603,115 +527,37 @@ impl<V: Pod> SessionState<V> {
         }
         let live: Vec<u64> = {
             let map = store.offline_pending.lock();
-            map.get(&self.slot_idx)
+            map.get(&self.part.slot)
                 .map(|gs| gs.iter().map(|g| g.serial).collect())
                 .unwrap_or_default()
         };
         self.pending.retain(|op| live.contains(&op.serial));
     }
 
-    /// Fine grain: take shared latches (coarse: register key guards) for
-    /// pending requests when entering prepare.
-    fn protect_pendings(&mut self, store: &StoreInner<V>) {
-        match store.grain {
-            VersionGrain::Fine => {
-                for op in &mut self.pending {
-                    if op.tag == self.version && op.latch.is_none() {
-                        let b = store.index.bucket_index(key_hash(op.key));
-                        // Cannot fail persistently: exclusive holders only
-                        // exist in in-progress, which starts later.
-                        while !store.latches[b].try_shared() {
-                            std::hint::spin_loop();
-                        }
-                        op.latch = Some(b);
-                    }
-                }
-            }
-            VersionGrain::Coarse => {
-                let mut guard = store.pending_v_keys.lock();
-                for op in &mut self.pending {
-                    if op.tag == self.version && !op.guarded {
-                        guard.insert(op.key);
-                        op.guarded = true;
-                    }
-                }
-            }
-        }
-        if self.clock.is_some() {
-            // Mirror the newly-taken protections so a later watchdog
-            // cancellation releases them. The lease was stamped at the top
-            // of this refresh, so the watchdog cannot act on this session
-            // between the acquisition above and the mirror landing here.
-            let mut map = store.offline_pending.lock();
-            if let Some(gs) = map.get_mut(&self.slot_idx) {
-                for op in &self.pending {
-                    if let Some(g) = gs.iter_mut().find(|g| g.serial == op.serial) {
-                        g.latch = op.latch;
-                        g.guarded_key = op.guarded.then_some(op.key);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Publish a busy-state change iff the liveness watchdog is running.
-    /// `Locking` marks the short exclusive-latch windows of the version
-    /// hand-off: the watchdog must never evict a session there (it could
-    /// be mid-append under the latch) — its only remedy is a checkpoint
-    /// abort.
-    #[inline]
-    fn set_busy_live(&self, store: &StoreInner<V>, b: BusyState) {
-        if self.clock.is_some() {
-            store.registry.set_busy(self.slot_idx, b);
-        }
-    }
-
-    #[inline]
-    fn txn_version(&self) -> u64 {
-        if self.phase >= Phase::InProgress {
-            self.version + 1
-        } else {
-            self.version
-        }
-    }
-
     #[inline]
     fn maybe_refresh(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) {
-        self.ops_since_refresh += 1;
-        if self.ops_since_refresh >= store.refresh_every {
+        self.part.ops_since_refresh += 1;
+        if self.part.ops_since_refresh >= store.refresh_every {
             self.refresh(store, stats);
         }
     }
 
-    /// Dekker-style entry protocol against the watchdog: publish
-    /// `busy = InTxn` (SeqCst), then load status (SeqCst). If the status
-    /// read observes `Active`, the watchdog's suspend CAS had not happened
-    /// before that read in the SeqCst total order, so no eviction (which
-    /// requires a *prior* successful suspend plus a later scan) can be in
-    /// flight — accepting the op is safe. Returns `false` once evicted.
+    /// Enter an operation through the watchdog entry protocol (a
+    /// suspended session refreshes to what was published on its behalf
+    /// and retries). Returns `false` once evicted.
     fn begin_op(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) -> bool {
         loop {
-            if self.evicted {
-                return false;
-            }
-            store.registry.set_busy(self.slot_idx, BusyState::InTxn);
-            match store.registry.status(self.slot_idx) {
-                SessionStatus::Active => return true,
-                _ => {
-                    store.registry.set_busy(self.slot_idx, BusyState::Idle);
-                    if store.registry.await_reactivate(self.slot_idx) {
-                        self.refresh(store, stats);
-                    } else {
-                        self.evicted = true;
-                    }
-                }
+            match self.part.try_begin_op(&store.core) {
+                Entry::Entered => return true,
+                Entry::Resumed => self.refresh(store, stats),
+                Entry::Evicted => return false,
             }
         }
     }
 
     #[inline]
     fn enter_op(&mut self, store: &StoreInner<V>, stats: &mut SessionStats) -> bool {
-        if self.clock.is_none() {
+        if !self.part.live() {
             return true;
         }
         if !self.begin_op(store, stats) {
@@ -726,9 +572,7 @@ impl<V: Pod> SessionState<V> {
 
     #[inline]
     fn exit_op(&mut self, store: &StoreInner<V>) {
-        if self.clock.is_some() {
-            store.registry.set_busy(self.slot_idx, BusyState::Idle);
-        }
+        self.part.set_busy(&store.core, BusyState::Idle);
     }
 
     // ---- op driver ----------------------------------------------------------
@@ -746,7 +590,7 @@ impl<V: Pod> SessionState<V> {
             // shared latch (paper Alg. 4); failure means the CPR shift
             // has begun.
             let mut latch: Option<usize> = None;
-            if self.phase == Phase::Prepare && store.grain == VersionGrain::Fine {
+            if self.part.phase == Phase::Prepare && store.grain == VersionGrain::Fine {
                 let b = store.index.bucket_index(key_hash(key));
                 if !store.latches[b].try_shared() {
                     self.refresh(store, stats); // CPR_SHIFT_DETECTED
@@ -754,13 +598,16 @@ impl<V: Pod> SessionState<V> {
                 }
                 latch = Some(b);
             }
-            let tag = self.txn_version();
+            let tag = self.part.txn_version();
             match self.run_op(store, kind, key, input, tag, None) {
                 Outcome::Done(v) => {
                     if let Some(b) = latch {
                         store.latches[b].release_shared();
                     }
-                    store.registry.set_serial(self.slot_idx, self.serial);
+                    store
+                        .core
+                        .registry
+                        .set_serial(self.part.slot, self.part.serial);
                     return DriveResult::Done(v);
                 }
                 Outcome::Shift => {
@@ -779,33 +626,33 @@ impl<V: Pod> SessionState<V> {
                 Outcome::Pend(io) => {
                     // Pre-point pendings keep their protection: the shared
                     // latch (fine) or a key guard (coarse).
-                    let keep_latch = latch.take_if(|_| tag == self.version);
+                    let keep_latch = latch.take_if(|_| tag == self.part.version);
                     if let Some(b) = latch {
                         store.latches[b].release_shared();
                     }
                     let guarded = store.grain == VersionGrain::Coarse
-                        && tag == self.version
-                        && self.phase != Phase::Rest;
+                        && tag == self.part.version
+                        && self.part.phase != Phase::Rest;
                     if guarded {
                         store.pending_v_keys.lock().insert(key);
                     }
                     store.pending_count[(tag & 1) as usize].fetch_add(1, Ordering::AcqRel);
-                    if self.clock.is_some() {
+                    if self.part.live() {
                         // Mirror the op's protections for the watchdog.
                         store
                             .offline_pending
                             .lock()
-                            .entry(self.slot_idx)
+                            .entry(self.part.slot)
                             .or_default()
                             .push(OfflineGuard {
-                                serial: self.serial,
+                                serial: self.part.serial,
                                 tag,
                                 latch: keep_latch,
                                 guarded_key: guarded.then_some(key),
                             });
                     }
                     self.pending.push(Pending {
-                        serial: self.serial,
+                        serial: self.part.serial,
                         kind,
                         key,
                         input,
@@ -815,7 +662,10 @@ impl<V: Pod> SessionState<V> {
                         io,
                     });
                     stats.went_pending += 1;
-                    store.registry.set_serial(self.slot_idx, self.serial);
+                    store
+                        .core
+                        .registry
+                        .set_serial(self.part.slot, self.part.serial);
                     return DriveResult::Pending;
                 }
             }
@@ -863,8 +713,8 @@ impl<V: Pod> SessionState<V> {
             addr = h.prev;
         }
 
-        let vnext13 = version13(self.version + 1);
-        let is_next = tag > self.version;
+        let vnext13 = version13(self.part.version + 1);
+        let is_next = tag > self.part.version;
 
         match found {
             Some((_raddr, h)) if h.tombstone => match kind {
@@ -876,7 +726,10 @@ impl<V: Pod> SessionState<V> {
             Some((raddr, h)) => {
                 // Prepare-phase shift detection: a record already at
                 // version v+1 means the commit has begun (Alg. 4).
-                if self.phase == Phase::Prepare && tag == self.version && h.version == vnext13 {
+                if self.part.phase == Phase::Prepare
+                    && tag == self.part.version
+                    && h.version == vnext13
+                {
                     return Outcome::Shift;
                 }
                 if kind == OpKind::Read {
@@ -982,9 +835,12 @@ impl<V: Pod> SessionState<V> {
         match store.grain {
             VersionGrain::Fine => {
                 let b = store.index.bucket_index(key_hash(key));
-                match self.phase {
+                match self.part.phase {
                     Phase::InProgress => {
-                        self.set_busy_live(store, BusyState::Locking);
+                        // The exclusive-latch hand-off window: the watchdog
+                        // must not evict us here (we may be mid-append
+                        // under the latch); its only remedy is an abort.
+                        self.part.set_busy(&store.core, BusyState::Locking);
                         let out = if store.latches[b].try_exclusive() {
                             let out = self.append_record(
                                 store,
@@ -1001,7 +857,7 @@ impl<V: Pod> SessionState<V> {
                         } else {
                             Outcome::Pend(None)
                         };
-                        self.set_busy_live(store, BusyState::InTxn);
+                        self.part.set_busy(&store.core, BusyState::InTxn);
                         out
                     }
                     Phase::WaitPending => {
@@ -1029,7 +885,7 @@ impl<V: Pod> SessionState<V> {
                 if store.pending_v_keys.lock().contains(&key) {
                     return Outcome::Pend(None);
                 }
-                if raddr < safe_ro || self.phase >= Phase::WaitPending {
+                if raddr < safe_ro || self.part.phase >= Phase::WaitPending {
                     self.append_record(store, slot, entry, key, kind, input, Some(raddr), tag)
                 } else {
                     // The pre-point record is still mutable: wait until it
@@ -1129,14 +985,14 @@ impl<V: Pod> SessionState<V> {
         base: Option<V>,
         tag: u64,
     ) -> Outcome<V> {
-        if tag > self.version {
+        if tag > self.part.version {
             // Post-point op resolving a disk record: respect the same
             // protections as an in-memory hand-off.
             match store.grain {
                 VersionGrain::Fine => {
                     let b = store.index.bucket_index(key_hash(key));
-                    if self.phase == Phase::InProgress {
-                        self.set_busy_live(store, BusyState::Locking);
+                    if self.part.phase == Phase::InProgress {
+                        self.part.set_busy(&store.core, BusyState::Locking);
                         let out = if store.latches[b].try_exclusive() {
                             let out = self
                                 .append_base_inner(store, slot, entry, key, kind, input, base, tag);
@@ -1145,10 +1001,11 @@ impl<V: Pod> SessionState<V> {
                         } else {
                             Outcome::Pend(None)
                         };
-                        self.set_busy_live(store, BusyState::InTxn);
+                        self.part.set_busy(&store.core, BusyState::InTxn);
                         return out;
                     }
-                    if self.phase == Phase::WaitPending && store.latches[b].shared_count() != 0 {
+                    if self.part.phase == Phase::WaitPending && store.latches[b].shared_count() != 0
+                    {
                         return Outcome::Pend(None);
                     }
                 }
@@ -1184,7 +1041,7 @@ impl<V: Pod> SessionState<V> {
             (OpKind::Read, _) => unreachable!(),
         };
         value_to_words(&value, &mut self.scratch, store.value_words);
-        let addr = store.hlog.allocate(&self.guard);
+        let addr = store.hlog.allocate(&self.part.guard);
         let mut header = Header::new(entry, tag);
         if kind == OpKind::Delete {
             header = header.with_tombstone();
@@ -1227,6 +1084,56 @@ enum DriveResult<V> {
     Pending,
 }
 
+/// Fine grain: take shared latches (coarse: register key guards) for
+/// the pending requests of a session entering prepare at `version`.
+fn protect_pendings<V: Pod>(
+    store: &StoreInner<V>,
+    pending: &mut [Pending<V>],
+    version: u64,
+    slot: usize,
+    live: bool,
+) {
+    match store.grain {
+        VersionGrain::Fine => {
+            for op in pending.iter_mut() {
+                if op.tag == version && op.latch.is_none() {
+                    let b = store.index.bucket_index(key_hash(op.key));
+                    // Cannot fail persistently: exclusive holders only
+                    // exist in in-progress, which starts later.
+                    while !store.latches[b].try_shared() {
+                        std::hint::spin_loop();
+                    }
+                    op.latch = Some(b);
+                }
+            }
+        }
+        VersionGrain::Coarse => {
+            let mut guard = store.pending_v_keys.lock();
+            for op in pending.iter_mut() {
+                if op.tag == version && !op.guarded {
+                    guard.insert(op.key);
+                    op.guarded = true;
+                }
+            }
+        }
+    }
+    if live {
+        // Mirror the newly-taken protections so a later watchdog
+        // cancellation releases them. The lease was stamped at the top of
+        // this refresh, so the watchdog cannot act on this session between
+        // the acquisition above and the mirror landing here.
+        let mut map = store.offline_pending.lock();
+        if let Some(gs) = map.get_mut(&slot) {
+            for op in pending.iter() {
+                if let Some(g) = gs.iter_mut().find(|g| g.serial == op.serial) {
+                    g.latch = op.latch;
+                    g.guarded_key = op.guarded.then_some(op.key);
+                }
+            }
+        }
+    }
+}
+
 /// Stage 2 of the batch pipeline: find `key`'s slot (its bucket was
 /// prefetched earlier) and prefetch the record it names if that record
 /// is in memory. Creates no slot and follows no pointer.
@@ -1246,7 +1153,7 @@ impl<V: Pod> Drop for FasterSession<V> {
         // evicted session skips the drain: its pendings were cancelled by
         // the watchdog and `refresh` clears them on the first pass.
         for _ in 0..10_000 {
-            if self.st.pending.is_empty() || self.st.evicted {
+            if self.st.pending.is_empty() || self.st.part.evicted {
                 break;
             }
             self.refresh();
@@ -1260,42 +1167,16 @@ impl<V: Pod> Drop for FasterSession<V> {
         // watchdog on, the offline map arbitrates: only protections whose
         // entry is still present are ours to release.
         let ops = std::mem::take(&mut st.pending);
-        if st.clock.is_some() {
-            let entries = store.offline_pending.lock().remove(&st.slot_idx);
+        if st.part.live() {
+            let entries = store.offline_pending.lock().remove(&st.part.slot);
             for g in entries.unwrap_or_default() {
-                if let Some(b) = g.latch {
-                    store.latches[b].release_shared();
-                }
-                if let Some(k) = g.guarded_key {
-                    store.pending_v_keys.lock().remove(&k);
-                }
-                store.pending_count[(g.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+                release_pending(store, g.latch, g.guarded_key, g.tag);
             }
         } else {
             for op in ops {
-                if let Some(b) = op.latch {
-                    store.latches[b].release_shared();
-                }
-                if op.guarded {
-                    store.pending_v_keys.lock().remove(&op.key);
-                }
-                store.pending_count[(op.tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+                release_pending(store, op.latch, op.guarded.then_some(op.key), op.tag);
             }
         }
-        // Deposit this session's commit points before freeing the slot:
-        // once the slot is released the registry forgets the guid, but a
-        // later checkpoint (or a reconnecting client) still needs them.
-        if st.evicted || store.registry.is_evicted(st.slot_idx) {
-            // Eviction cancelled every op after the rolled-back point; the
-            // pre-eviction serial must never be reported.
-            let point = store.registry.cpr_point(st.slot_idx);
-            store.detached.record_evicted(st.guid, st.version, point);
-        } else {
-            let points: Vec<(u64, u64)> = st.pending_points.iter().copied().collect();
-            store
-                .detached
-                .record(st.guid, points, (st.txn_version(), st.serial));
-        }
-        store.registry.release(st.slot_idx);
+        st.part.detach(&store.core);
     }
 }

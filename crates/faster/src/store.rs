@@ -5,13 +5,13 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cpr_core::commit::{advance_when_all_at, always};
 use cpr_core::liveness::{CommitOutcome, LivenessConfig};
+use cpr_core::watchdog::Remedies;
 use cpr_core::{
-    CheckpointManifest, CheckpointVersion, DetachedSessions, NoWaitLock, Phase, Pod,
-    SessionRegistry, SystemState,
+    CheckpointManifest, CheckpointVersion, CommitCore, CprEngine, NoWaitLock, Phase, Pod, SessionId,
 };
 use cpr_epoch::EpochManager;
 use cpr_metrics::{MetricsReport, Registry};
@@ -19,7 +19,7 @@ use cpr_storage::{
     CheckpointStore, Device, FaultDevice, FaultInjector, FileDevice, IoProfile, MeteredDevice,
 };
 use crossbeam_utils::CachePadded;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::hlog::{HlogConfig, HybridLog};
 use crate::index::HashIndex;
@@ -48,50 +48,24 @@ pub enum VersionGrain {
     Coarse,
 }
 
-/// Store configuration.
-pub struct FasterOptions<V: Pod> {
+/// Threads of the background I/O completion pool.
+const IO_THREADS: usize = 2;
+
+/// Store configuration, set (and documented) through [`FasterBuilder`].
+pub(crate) struct FasterOptions<V: Pod> {
     pub index_buckets: usize,
     pub hlog: HlogConfig,
-    /// Directory holding `log.dat` and the checkpoint store.
     pub dir: PathBuf,
-    /// Ops between session refreshes.
     pub refresh_every: u64,
     pub grain: VersionGrain,
     pub max_sessions: usize,
-    pub io_threads: usize,
-    /// Writer queues for the log device: checkpoint flushes stripe their
-    /// chunks across this many background writer threads. Defaults to
-    /// the `CPR_IO_THREADS` environment variable (1 when unset).
     pub write_queues: usize,
-    /// Worker threads for the recovery scan of `[S, E)`. Defaults to the
-    /// `CPR_IO_THREADS` environment variable (1 when unset). The
-    /// recovered state is byte-identical at any thread count.
     pub recovery_threads: usize,
-    /// Simulated device speed profile for the log device (benchmarks);
-    /// defaults to [`IoProfile::NONE`] (real hardware speed).
     pub io_profile: IoProfile,
-    /// RMW semantics: `new = rmw(old, input)`; a missing key starts from
-    /// `input`.
     pub rmw: fn(V, V) -> V,
-    /// Optional fault injector for crash-recovery testing: decorates the
-    /// log device and the checkpoint store so every durable write draws
-    /// from one scriptable fault schedule.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Optional session liveness watchdog: lease-based straggler
-    /// detection, checkpoint abort + backoff, dead-session reclamation.
     pub liveness: Option<LivenessConfig>,
-    /// Metrics registry; defaults to a disabled no-op sink.
     pub metrics: Arc<Registry>,
-}
-
-impl FasterOptions<u64> {
-    /// The paper's YCSB RMW workload: a running per-key sum.
-    pub fn u64_sums(dir: impl Into<PathBuf>) -> Self {
-        FasterOptions {
-            rmw: |old, input| old.wrapping_add(input),
-            ..FasterOptions::defaults(dir.into())
-        }
-    }
 }
 
 impl<V: Pod> FasterOptions<V> {
@@ -108,7 +82,6 @@ impl<V: Pod> FasterOptions<V> {
             refresh_every: 64,
             grain: VersionGrain::Fine,
             max_sessions: 64,
-            io_threads: 2,
             write_queues: cpr_storage::env_io_threads(),
             recovery_threads: cpr_storage::env_io_threads(),
             io_profile: IoProfile::NONE,
@@ -117,35 +90,6 @@ impl<V: Pod> FasterOptions<V> {
             liveness: None,
             metrics: Registry::noop(),
         }
-    }
-
-    pub fn with_hlog(mut self, hlog: HlogConfig) -> Self {
-        self.hlog = hlog;
-        self
-    }
-    pub fn with_grain(mut self, g: VersionGrain) -> Self {
-        self.grain = g;
-        self
-    }
-    pub fn with_index_buckets(mut self, n: usize) -> Self {
-        self.index_buckets = n;
-        self
-    }
-    pub fn with_refresh_every(mut self, k: u64) -> Self {
-        self.refresh_every = k;
-        self
-    }
-    pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.fault = Some(injector);
-        self
-    }
-    pub fn with_liveness(mut self, cfg: LivenessConfig) -> Self {
-        self.liveness = Some(cfg);
-        self
-    }
-    pub fn with_metrics(mut self, metrics: Arc<Registry>) -> Self {
-        self.metrics = metrics;
-        self
     }
 }
 
@@ -157,7 +101,7 @@ impl<V: Pod> FasterOptions<V> {
 ///
 /// Defaults: `index_buckets = 4096`, a small test-sized hybrid log with
 /// `value_size = size_of::<V>()`, `refresh_every = 64`,
-/// `grain = VersionGrain::Fine`, `max_sessions = 64`, `io_threads = 2`,
+/// `grain = VersionGrain::Fine`, `max_sessions = 64`,
 /// last-writer-wins RMW (`new = input`), no fault injection, no liveness
 /// watchdog, and a disabled metrics registry. Use
 /// [`FasterBuilder::u64_sums`] for the paper's summing YCSB workload.
@@ -190,9 +134,7 @@ impl<V: Pod> std::fmt::Debug for FasterBuilder<V> {
 impl FasterBuilder<u64> {
     /// The paper's YCSB RMW workload preset: a running per-key sum.
     pub fn u64_sums(dir: impl Into<PathBuf>) -> Self {
-        FasterBuilder {
-            opts: FasterOptions::u64_sums(dir),
-        }
+        FasterBuilder::new(dir).rmw(|old, input| old.wrapping_add(input))
     }
 }
 
@@ -229,18 +171,16 @@ impl<V: Pod> FasterBuilder<V> {
         self.opts.max_sessions = n;
         self
     }
-    /// Size of the background I/O completion pool.
-    pub fn io_threads(mut self, n: usize) -> Self {
-        self.opts.io_threads = n;
-        self
-    }
-    /// Writer queues for the log device (checkpoint-flush striping).
+    /// Writer queues for the log device: checkpoint flushes stripe their
+    /// chunks across this many writer threads (default: the
+    /// `CPR_IO_THREADS` environment variable, 1 when unset).
     pub fn write_queues(mut self, n: usize) -> Self {
         self.opts.write_queues = n.max(1);
         self
     }
-    /// Worker threads for the recovery scan (see
-    /// [`FasterOptions::recovery_threads`]).
+    /// Worker threads for the recovery scan of `[S, E)` (default: the
+    /// `CPR_IO_THREADS` environment variable, 1 when unset). The
+    /// recovered state is byte-identical at any thread count.
     pub fn recovery_threads(mut self, n: usize) -> Self {
         self.opts.recovery_threads = n.max(1);
         self
@@ -262,7 +202,8 @@ impl<V: Pod> FasterBuilder<V> {
         self.opts.fault = Some(injector);
         self
     }
-    /// Enable the session liveness watchdog.
+    /// Enable the session liveness watchdog: lease-based straggler
+    /// detection, checkpoint abort + backoff, dead-session reclamation.
     pub fn liveness(mut self, cfg: LivenessConfig) -> Self {
         self.opts.liveness = Some(cfg);
         self
@@ -272,11 +213,6 @@ impl<V: Pod> FasterBuilder<V> {
         self.opts.metrics = registry;
         self
     }
-    /// Escape hatch: the underlying options struct.
-    pub fn options(self) -> FasterOptions<V> {
-        self.opts
-    }
-
     /// Open a fresh store (truncates any existing log).
     pub fn open(self) -> io::Result<FasterKv<V>> {
         FasterKv::open_inner(self.opts)
@@ -288,9 +224,6 @@ impl<V: Pod> FasterBuilder<V> {
         crate::recovery::recover(self.opts)
     }
 }
-
-/// Commit observer: `(committed version, per-session CPR points)`.
-pub type CommitCallback = Box<dyn Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync>;
 
 /// A checkpoint in flight.
 pub(crate) struct CkptCtx {
@@ -321,15 +254,14 @@ pub(crate) struct OfflineGuard {
 }
 
 pub(crate) struct StoreInner<V: Pod> {
+    /// The CPR protocol core: state machine, sessions, commit publication.
+    /// First, so that dropping the store joins its worker threads before
+    /// any other field is freed.
+    pub(crate) core: CommitCore,
     pub(crate) index: HashIndex,
     pub(crate) latches: Box<[NoWaitLock]>,
     pub(crate) hlog: Arc<HybridLog>,
     pub(crate) epoch: Arc<EpochManager>,
-    pub(crate) state: SystemState,
-    pub(crate) registry: SessionRegistry,
-    pub(crate) committed_version: AtomicU64,
-    pub(crate) commit_lock: Mutex<()>,
-    pub(crate) commit_cv: Condvar,
     pub(crate) store: CheckpointStore,
     /// Outstanding pending operations per version parity (gates the
     /// wait-pending → wait-flush transition).
@@ -339,31 +271,12 @@ pub(crate) struct StoreInner<V: Pod> {
     pub(crate) pending_v_keys: Mutex<HashSet<u64>>,
     pub(crate) io: IoPool,
     pub(crate) ckpt: Mutex<Option<CkptCtx>>,
-    ckpt_tx: Mutex<Option<crossbeam::channel::Sender<u64>>>,
-    ckpt_thread: Mutex<Option<JoinHandle<()>>>,
     /// Liveness configuration (None = no watchdog, zero overhead).
     pub(crate) liveness: Option<LivenessConfig>,
     /// Per-session-slot mirror of pending-op protections (see
     /// [`OfflineGuard`]). Populated only when liveness is on.
     pub(crate) offline_pending: Mutex<HashMap<usize, Vec<OfflineGuard>>>,
-    /// Book-keeping for the in-flight (or most recent) commit attempt.
-    pub(crate) outcome: Mutex<CommitOutcome>,
-    watchdog_thread: Mutex<Option<JoinHandle<()>>>,
-    /// Per-guid commit points of the newest durable manifest, seeded from
-    /// the recovery manifest and updated after every commit. Carried
-    /// forward into each new manifest so sessions that are not attached
-    /// at commit time keep their recovery contract.
-    pub(crate) durable_points: Mutex<HashMap<u64, u64>>,
-    /// Commit points (and live-resume serials) of sessions that detached
-    /// since the store opened — dropped handles, disconnected clients,
-    /// watchdog evictions.
-    pub(crate) detached: DetachedSessions,
-    /// Checkpoints that failed on I/O and were aborted (no manifest).
-    pub(crate) checkpoint_failures: AtomicU64,
     pub(crate) last_phase_marks: Mutex<Vec<(Phase, Duration)>>,
-    /// Commit observers (paper Sec. 5.2): called with (version, CPR
-    /// points) after every durable commit, on the checkpoint thread.
-    pub(crate) commit_callbacks: Mutex<Vec<CommitCallback>>,
     pub(crate) refresh_every: u64,
     pub(crate) grain: VersionGrain,
     /// Log-device writer queues (for flush phase-timing attribution).
@@ -402,15 +315,6 @@ impl<V: Pod> FasterKv<V> {
         FasterBuilder::new(dir)
     }
 
-    /// Open a fresh store (truncates any existing log).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `FasterKv::builder(dir)...open()` instead"
-    )]
-    pub fn open(opts: FasterOptions<V>) -> io::Result<Self> {
-        Self::open_inner(opts)
-    }
-
     pub(crate) fn open_inner(opts: FasterOptions<V>) -> io::Result<Self> {
         std::fs::create_dir_all(&opts.dir)?;
         let base: Arc<dyn Device> = Arc::new(FileDevice::create_with(
@@ -423,16 +327,6 @@ impl<V: Pod> FasterKv<V> {
             None => base,
         };
         Self::build(opts, device, None)
-    }
-
-    /// Recover from the newest committed checkpoint (paper Sec. 6.4 /
-    /// Alg. 3). Returns the manifest used, if any.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `FasterKv::builder(dir)...recover()` instead"
-    )]
-    pub fn recover(opts: FasterOptions<V>) -> io::Result<(Self, Option<CheckpointManifest>)> {
-        crate::recovery::recover(opts)
     }
 
     pub(crate) fn build(
@@ -461,17 +355,13 @@ impl<V: Pod> FasterKv<V> {
         let latch_count = index.bucket_count();
         let store = CheckpointStore::open_with(opts.dir.join("checkpoints"), opts.fault.clone())?
             .with_metrics(Arc::clone(&opts.metrics));
-        let io = IoPool::new(device, opts.io_threads);
+        let io = IoPool::new(device, IO_THREADS);
         let inner = Arc::new(StoreInner {
             latches: (0..latch_count).map(|_| NoWaitLock::new()).collect(),
             index,
             hlog,
             epoch,
-            state: SystemState::at_version(version),
-            registry: SessionRegistry::new(opts.max_sessions),
-            committed_version: AtomicU64::new(version - 1),
-            commit_lock: Mutex::new(()),
-            commit_cv: Condvar::new(),
+            core: CommitCore::new(opts.max_sessions, version, sessions),
             store,
             pending_count: [
                 CachePadded::new(AtomicU64::new(0)),
@@ -480,17 +370,9 @@ impl<V: Pod> FasterKv<V> {
             pending_v_keys: Mutex::new(HashSet::new()),
             io,
             ckpt: Mutex::new(None),
-            ckpt_tx: Mutex::new(None),
-            ckpt_thread: Mutex::new(None),
             liveness: opts.liveness.clone(),
             offline_pending: Mutex::new(HashMap::new()),
-            outcome: Mutex::new(CommitOutcome::default()),
-            watchdog_thread: Mutex::new(None),
-            durable_points: Mutex::new(sessions),
-            detached: DetachedSessions::new(),
-            checkpoint_failures: AtomicU64::new(0),
             last_phase_marks: Mutex::new(Vec::new()),
-            commit_callbacks: Mutex::new(Vec::new()),
             refresh_every: opts.refresh_every,
             grain: opts.grain,
             write_queues: opts.write_queues,
@@ -500,29 +382,13 @@ impl<V: Pod> FasterKv<V> {
             metrics_on,
             fault: opts.fault,
         });
-        // Checkpoint worker: runs the wait-flush work off the hot path.
-        // Holds only a Weak reference so dropping the last user handle
-        // tears the store down (no Arc cycle through the thread).
-        let (tx, rx) = crossbeam::channel::unbounded::<u64>();
-        let worker = Arc::downgrade(&inner);
-        let handle = std::thread::Builder::new()
-            .name("cpr-faster-checkpoint".into())
-            .spawn(move || {
-                for version in rx {
-                    let Some(inner) = worker.upgrade() else { break };
-                    crate::checkpoint::run_wait_flush(&inner, version);
-                }
-            })
-            .expect("spawn checkpoint thread");
-        *inner.ckpt_tx.lock() = Some(tx);
-        *inner.ckpt_thread.lock() = Some(handle);
+        CommitCore::start_flush_worker(
+            &inner,
+            "cpr-faster-checkpoint",
+            crate::checkpoint::run_wait_flush,
+        );
         if let Some(cfg) = inner.liveness.clone() {
-            let weak = Arc::downgrade(&inner);
-            let handle = std::thread::Builder::new()
-                .name("cpr-faster-watchdog".into())
-                .spawn(move || crate::watchdog::run(weak, cfg))
-                .expect("spawn watchdog thread");
-            *inner.watchdog_thread.lock() = Some(handle);
+            cpr_core::watchdog::start(&inner, cfg, "cpr-faster-watchdog");
         }
         Ok(FasterKv { inner })
     }
@@ -540,12 +406,7 @@ impl<V: Pod> FasterKv<V> {
     /// guid's commit point from the recovery manifest: every later serial
     /// must be re-issued (the CPR resume contract, paper Sec. 2).
     pub fn continue_session(&self, guid: u64) -> (FasterSession<V>, u64) {
-        let serial = self
-            .inner
-            .detached
-            .last_serial(guid)
-            .or_else(|| self.inner.durable_points.lock().get(&guid).copied())
-            .unwrap_or(0);
+        let serial = self.inner.core.resume_serial(guid);
         (
             FasterSession::new(Arc::clone(&self.inner), guid, serial),
             serial,
@@ -555,12 +416,7 @@ impl<V: Pod> FasterKv<V> {
     /// The guid's durable commit point: the serial below which every op
     /// is guaranteed recovered after a crash right now.
     pub fn durable_point(&self, guid: u64) -> u64 {
-        self.inner
-            .durable_points
-            .lock()
-            .get(&guid)
-            .copied()
-            .unwrap_or(0)
+        self.inner.core.durable_point(guid)
     }
 
     /// Request a CPR commit (paper Fig. 9a). Returns `false` if one is
@@ -571,10 +427,7 @@ impl<V: Pod> FasterKv<V> {
         if !start_checkpoint(&self.inner, variant, log_only) {
             return false;
         }
-        *self.inner.outcome.lock() = CommitOutcome {
-            attempts: 1,
-            ..CommitOutcome::default()
-        };
+        self.inner.core.begin_outcome();
         true
     }
 
@@ -585,18 +438,19 @@ impl<V: Pod> FasterKv<V> {
 
     /// Register a commit observer (paper Sec. 5.2): called with the
     /// committed version and every session's CPR point after each durable
-    /// commit. Runs on the checkpoint thread — keep it brief.
+    /// commit, before [`FasterKv::committed_version`] reports it. Runs
+    /// on the checkpoint thread — keep it brief.
     pub fn on_commit(
         &self,
         callback: impl Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync + 'static,
     ) {
-        self.inner.commit_callbacks.lock().push(Box::new(callback));
+        self.inner.core.on_commit(Box::new(callback));
     }
 
     /// Version of the newest durable commit
     /// ([`CheckpointVersion::NONE`] = none).
     pub fn committed_version(&self) -> CheckpointVersion {
-        CheckpointVersion::from(self.inner.committed_version.load(Ordering::Acquire))
+        self.inner.core.committed_version()
     }
 
     /// Snapshot of every metric the store has recorded: op latencies,
@@ -614,18 +468,18 @@ impl<V: Pod> FasterKv<V> {
     /// Number of checkpoint attempts that failed on I/O and were aborted
     /// (no manifest committed; sessions returned to rest).
     pub fn checkpoint_failures(&self) -> u64 {
-        self.inner.checkpoint_failures.load(Ordering::Acquire)
+        self.inner.core.checkpoint_failures()
     }
 
     /// Watchdog book-keeping for the in-flight (or most recent) commit:
     /// attempts, proxy-advanced and evicted sessions, aborts.
     pub fn last_commit_outcome(&self) -> CommitOutcome {
-        self.inner.outcome.lock().clone()
+        self.inner.core.last_commit_outcome()
     }
 
     /// Current (phase, version) of the commit state machine.
     pub fn state(&self) -> (Phase, u64) {
-        self.inner.state.load()
+        self.inner.core.state.load()
     }
 
     /// Block until the commit of `version` is durable (sessions must keep
@@ -635,19 +489,9 @@ impl<V: Pod> FasterKv<V> {
         version: impl Into<CheckpointVersion>,
         timeout: Duration,
     ) -> bool {
-        let version = version.into();
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.commit_lock.lock();
-        while self.committed_version() < version {
-            self.inner.epoch.try_drain();
-            if Instant::now() >= deadline {
-                return false;
-            }
-            self.inner
-                .commit_cv
-                .wait_for(&mut g, Duration::from_millis(1));
-        }
-        true
+        self.inner
+            .core
+            .wait_for_version(&self.inner.epoch, version.into(), timeout)
     }
 
     /// Per-phase durations of the last completed checkpoint (the §7.3.1
@@ -749,19 +593,19 @@ impl<V: Pod> FasterKv<V> {
     }
 }
 
-/// Begin a CPR commit: `rest → prepare` plus the epoch trigger chain.
-/// Shared by [`FasterKv::request_checkpoint`] and the watchdog's
-/// backed-off retries (which must re-begin a fresh store token).
+/// Begin a CPR commit: `rest → prepare` plus the epoch trigger chain
+/// through in-progress and wait-pending to wait-flush, which hands the
+/// version to the checkpoint thread. Shared by
+/// [`FasterKv::request_checkpoint`] and the watchdog's backed-off retries
+/// (which must re-begin a fresh store token).
 pub(crate) fn start_checkpoint<V: Pod>(
     inner: &Arc<StoreInner<V>>,
     variant: CheckpointVariant,
     log_only: bool,
 ) -> bool {
-    let v = inner.state.version();
-    if !inner
-        .state
-        .transition((Phase::Rest, v), (Phase::Prepare, v))
-    {
+    let state = &inner.core.state;
+    let v = state.version();
+    if !state.transition((Phase::Rest, v), (Phase::Prepare, v)) {
         return false;
     }
     let token = match inner.store.begin() {
@@ -770,11 +614,9 @@ pub(crate) fn start_checkpoint<V: Pod>(
             // Can't even create the checkpoint directory (e.g. the
             // simulated device crashed): roll back to rest at the same
             // version and report the failure.
-            let ok = inner
-                .state
-                .transition((Phase::Prepare, v), (Phase::Rest, v));
+            let ok = state.transition((Phase::Prepare, v), (Phase::Rest, v));
             debug_assert!(ok, "prepare rollback must succeed");
-            inner.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
+            inner.core.note_failure();
             return false;
         }
     };
@@ -787,26 +629,39 @@ pub(crate) fn start_checkpoint<V: Pod>(
         started: Instant::now(),
         phase_marks: vec![(Phase::Prepare, Duration::ZERO)],
     });
-    if inner.metrics_on {
-        inner
-            .metrics
-            .checkpoints
-            .begin(v, ckpt_kind_label(variant, log_only));
-    }
-
-    let i1 = Arc::clone(inner);
-    let i2 = Arc::clone(inner);
-    inner.epoch.bump_epoch(
-        Some(Box::new(move || {
-            let ready = i1.registry.all_at_least(Phase::Prepare, v);
-            if !ready && i1.metrics_on {
-                if let Some((_, guid)) = i1.registry.first_blocker(Phase::Prepare, v) {
-                    i1.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        })),
-        Box::new(move || prepare_to_inprog(i2, v)),
+    inner
+        .metrics
+        .checkpoints
+        .begin(v, ckpt_kind_label(variant, log_only));
+    advance_when_all_at(
+        inner,
+        v,
+        Phase::Prepare,
+        Phase::InProgress,
+        always,
+        |inner, v| {
+            mark_phase(&inner, Phase::InProgress);
+            advance_when_all_at(
+                &inner,
+                v,
+                Phase::InProgress,
+                Phase::WaitPending,
+                always,
+                |inner, v| {
+                    mark_phase(&inner, Phase::WaitPending);
+                    advance_when_all_at(
+                        &inner,
+                        v,
+                        Phase::WaitPending,
+                        Phase::WaitFlush,
+                        |inner, v| {
+                            inner.pending_count[(v & 1) as usize].load(Ordering::Acquire) == 0
+                        },
+                        enter_wait_flush,
+                    );
+                },
+            );
+        },
     );
     true
 }
@@ -821,66 +676,7 @@ pub(crate) fn ckpt_kind_label(variant: CheckpointVariant, log_only: bool) -> &'s
     }
 }
 
-fn prepare_to_inprog<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
-    // A failed transition means the watchdog timed this attempt out and
-    // returned the machine to rest; the stale trigger is simply dropped.
-    if !inner
-        .state
-        .transition((Phase::Prepare, v), (Phase::InProgress, v))
-    {
-        return;
-    }
-    mark_phase(&inner, Phase::InProgress);
-    let epoch = Arc::clone(&inner.epoch);
-    let i1 = Arc::clone(&inner);
-    let i2 = inner;
-    epoch.bump_epoch(
-        Some(Box::new(move || {
-            let ready = i1.registry.all_at_least(Phase::InProgress, v);
-            if !ready && i1.metrics_on {
-                if let Some((_, guid)) = i1.registry.first_blocker(Phase::InProgress, v) {
-                    i1.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        })),
-        Box::new(move || inprog_to_waitpending(i2, v)),
-    );
-}
-
-fn inprog_to_waitpending<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
-    if !inner
-        .state
-        .transition((Phase::InProgress, v), (Phase::WaitPending, v))
-    {
-        return; // aborted by the watchdog
-    }
-    mark_phase(&inner, Phase::WaitPending);
-    let epoch = Arc::clone(&inner.epoch);
-    let i1 = Arc::clone(&inner);
-    let i2 = inner;
-    epoch.bump_epoch(
-        Some(Box::new(move || {
-            let ready = i1.registry.all_at_least(Phase::WaitPending, v)
-                && i1.pending_count[(v & 1) as usize].load(Ordering::Acquire) == 0;
-            if !ready && i1.metrics_on {
-                if let Some((_, guid)) = i1.registry.first_blocker(Phase::WaitPending, v) {
-                    i1.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        })),
-        Box::new(move || waitpending_to_waitflush(i2, v)),
-    );
-}
-
-fn waitpending_to_waitflush<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
-    if !inner
-        .state
-        .transition((Phase::WaitPending, v), (Phase::WaitFlush, v))
-    {
-        return; // aborted by the watchdog
-    }
+fn enter_wait_flush<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
     mark_phase(&inner, Phase::WaitFlush);
     // Every version-v record exists now. A log-only fold-over captures
     // nothing before its log flush, so start the read-only shift here, on
@@ -897,37 +693,106 @@ fn waitpending_to_waitflush<V: Pod>(inner: Arc<StoreInner<V>>, v: u64) {
     if let Some(end) = fold_end {
         inner.hlog.shift_read_only_to(end);
     }
-    if let Some(tx) = inner.ckpt_tx.lock().as_ref() {
-        tx.send(v).expect("checkpoint thread alive");
-    }
+    inner.core.hand_off(v);
 }
 
-pub(crate) fn mark_phase<V: Pod>(inner: &StoreInner<V>, phase: Phase) {
+/// Record the entry into `phase` on the in-flight checkpoint's profile.
+fn mark_phase<V: Pod>(inner: &StoreInner<V>, phase: Phase) {
     if let Some(ctx) = inner.ckpt.lock().as_mut() {
         ctx.phase_marks.push((phase, ctx.started.elapsed()));
     }
-    if inner.metrics_on {
-        // The state machine has already transitioned to (phase, v) when
-        // this runs, so the current version indexes the active trace.
-        inner
-            .metrics
-            .checkpoints
-            .mark(inner.state.version(), phase.name());
+}
+
+/// Release the protections one pending operation holds: its shared bucket
+/// latch, its key guard, and its count in the wait-pending gate.
+pub(crate) fn release_pending<V: Pod>(
+    store: &StoreInner<V>,
+    latch: Option<usize>,
+    guarded_key: Option<u64>,
+    tag: u64,
+) {
+    if let Some(b) = latch {
+        store.latches[b].release_shared();
+    }
+    if let Some(k) = guarded_key {
+        store.pending_v_keys.lock().remove(&k);
+    }
+    store.pending_count[(tag & 1) as usize].fetch_sub(1, Ordering::AcqRel);
+}
+
+impl<V: Pod> CprEngine for StoreInner<V> {
+    fn core(&self) -> &CommitCore {
+        &self.core
+    }
+    fn epoch(&self) -> &EpochManager {
+        &self.epoch
+    }
+    fn tracing(&self) -> bool {
+        self.metrics_on
+    }
+    fn trace_blocker(&self, guid: SessionId) {
+        self.metrics.checkpoints.note_blocker(guid);
+    }
+    fn trace_phase(&self, v: u64, phase: Phase) {
+        self.metrics.checkpoints.mark(v, phase.name());
+    }
+    fn trace_end(&self, v: u64, committed: bool, out: &CommitOutcome) {
+        self.metrics.checkpoints.end(
+            v,
+            committed,
+            out.attempts as u64,
+            out.proxy_advanced.len() as u64,
+            out.evicted.len() as u64,
+        );
     }
 }
 
-impl<V: Pod> Drop for StoreInner<V> {
-    fn drop(&mut self) {
-        self.ckpt_tx.lock().take();
-        for slot in [&self.ckpt_thread, &self.watchdog_thread] {
-            if let Some(h) = slot.lock().take() {
-                // The final Arc may be dropped *by the worker itself* (it
-                // upgrades its Weak per job); never join our own thread.
-                if h.thread().id() != std::thread::current().id() {
-                    let _ = h.join();
-                }
-            }
+/// The watchdog's remedies. Pending operations keep a commit waiting at
+/// wait-pending, so a stale session with pendings is evicted and its
+/// pendings cancelled through the offline registry (see [`OfflineGuard`]).
+/// An abort returns the state machine to rest and discards the store
+/// token; wait-flush is never aborted — the checkpoint thread owns that
+/// exit and its work is I/O-bound, not straggler-bound.
+impl<V: Pod> Remedies for StoreInner<V> {
+    const GATED: &'static [Phase] = &[Phase::Prepare, Phase::InProgress, Phase::WaitPending];
+    /// The aborted attempt's `(variant, log_only)` shape.
+    type Attempt = Option<(CheckpointVariant, bool)>;
+
+    fn retry(self: &Arc<Self>, attempt: Self::Attempt) -> bool {
+        attempt.is_some_and(|(variant, log_only)| start_checkpoint(self, variant, log_only))
+    }
+
+    fn has_pendings(&self, slot: usize) -> bool {
+        self.offline_pending
+            .lock()
+            .get(&slot)
+            .is_some_and(|gs| !gs.is_empty())
+    }
+
+    /// Remove and release every offline-pending entry of the slot. The
+    /// map entry is the ownership token: the owner's `finish_pending`
+    /// finds it gone and releases nothing, so no protection is dropped
+    /// twice.
+    fn evict(&self, slot: usize) -> Option<u64> {
+        let entries = self.offline_pending.lock().remove(&slot)?;
+        for g in &entries {
+            release_pending(self, g.latch, g.guarded_key, g.tag);
         }
+        entries.iter().map(|g| g.serial).min()
+    }
+
+    fn abort(&self, phase: Phase, v: u64) -> Option<Self::Attempt> {
+        if !Self::GATED.contains(&phase)
+            || !self.core.state.transition((phase, v), (Phase::Rest, v + 1))
+        {
+            return None;
+        }
+        let attempt = self.ckpt.lock().take().map(|ctx| {
+            let _ = self.store.abort(ctx.token);
+            self.core.note_failure();
+            (ctx.variant, ctx.log_only)
+        });
+        Some(attempt)
     }
 }
 

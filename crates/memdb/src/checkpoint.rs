@@ -16,12 +16,12 @@
 //! discarded, no manifest is written, `committed_version` stays put, and
 //! sessions return to `rest` at `v + 1` so a later commit can succeed.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
-use cpr_core::{CheckpointKind, CheckpointManifest, Phase, SessionCpr};
+use cpr_core::commit::finish_flush;
+use cpr_core::{CheckpointKind, CheckpointManifest};
 use cpr_storage::CheckpointStore;
 
 use crate::db::DbInner;
@@ -29,6 +29,10 @@ use crate::error::RecoveryError;
 use crate::value::DbValue;
 
 const FLAG_TOMBSTONE: u64 = 1;
+
+/// Longest incremental chain (a full checkpoint plus its deltas) before
+/// the next capture is full again.
+pub(crate) const MAX_CHAIN_LEN: usize = 8;
 
 /// Capture version `v` and complete the commit (runs on the capture
 /// worker thread).
@@ -38,54 +42,16 @@ pub(crate) fn capture<V: DbValue>(inner: &DbInner<V>, v: u64) {
     // capture's completion; the watchdog re-raises if it still wants one.
     inner.capture_abort.store(false, Ordering::Release);
     let committed = try_capture(inner, v);
-    if committed.is_none() {
-        inner.checkpoint_failures.fetch_add(1, Ordering::AcqRel);
-    }
-
-    // Back to rest at the next version either way; only success publishes
-    // the committed version and the delta base.
-    let ok = inner
-        .state
-        .transition((Phase::WaitFlush, v), (Phase::Rest, v + 1));
-    debug_assert!(ok, "state machine out of sync at capture completion");
+    // Only success moves the delta base and publishes the version.
     if let Some(manifest) = &committed {
-        // The manifest's points are now the durable baseline; detached
-        // entries it subsumes can be dropped.
-        {
-            let mut durable = inner.durable_points.lock();
-            for s in &manifest.sessions {
-                let e = durable.entry(s.guid).or_insert(0);
-                *e = (*e).max(s.cpr_point);
-            }
+        let mut chain = inner.checkpoint_chain.lock();
+        if manifest.base.is_none() {
+            chain.clear();
         }
-        inner.detached.prune_committed(v);
-        {
-            let mut chain = inner.checkpoint_chain.lock();
-            if manifest.base.is_none() {
-                chain.clear();
-            }
-            chain.insert(0, manifest.token);
-        }
+        chain.insert(0, manifest.token);
         *inner.last_capture.lock() = Some(started.elapsed());
-        inner.committed_version.store(v, Ordering::Release);
-        for cb in inner.commit_callbacks.lock().iter() {
-            cb(v, &manifest.sessions);
-        }
     }
-    if inner.opts.metrics.is_enabled() {
-        let out = inner.outcome.lock();
-        inner.opts.metrics.checkpoints.end(
-            v,
-            committed.is_some(),
-            out.attempts as u64,
-            out.proxy_advanced.len() as u64,
-            out.evicted.len() as u64,
-        );
-    }
-    {
-        let _g = inner.commit_lock.lock();
-        inner.commit_cv.notify_all();
-    }
+    finish_flush(inner, v, committed.as_ref());
     if let Some(manifest) = committed {
         drop_superseded(inner, manifest.token);
     }
@@ -110,9 +76,15 @@ fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<CheckpointManif
     let token = store.begin().ok()?;
     // Delta checkpoints capture only records whose version-v image was
     // produced by a version-v write; everything else is already covered
-    // by the base chain. The first commit is always full.
+    // by the base chain. The first commit is always full, and so is the
+    // one after a chain of `MAX_CHAIN_LEN` checkpoints: retention can
+    // then drop the old chain, and recovery reads a bounded one.
     let base = if inner.opts.incremental {
-        inner.checkpoint_chain.lock().first().copied()
+        let chain = inner.checkpoint_chain.lock();
+        chain
+            .first()
+            .copied()
+            .filter(|_| chain.len() < MAX_CHAIN_LEN)
     } else {
         None
     };
@@ -142,7 +114,7 @@ fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<CheckpointManif
     let mut manifest = CheckpointManifest::new(token, CheckpointKind::Database, v);
     manifest.records = Some(count);
     manifest.base = base;
-    manifest.sessions = session_points(inner, v);
+    manifest.sessions = inner.core.session_points(v);
     let result = store
         .write_file_parts(token, "db.dat", &parts)
         .and_then(|()| store.commit(&manifest));
@@ -248,31 +220,6 @@ fn capture_shard<V: DbValue>(
         count += 1;
     });
     (!aborted).then_some(Shard { bytes, count })
-}
-
-/// Per-session commit points for the manifest of version `v`: the newest
-/// durable points carried forward, detached sessions' deposited points,
-/// and the live registry snapshot, merged by max. Serials only grow per
-/// guid, so max picks the newest claim each source can justify (and a
-/// session that re-attached mid-checkpoint — registry point still 0 —
-/// keeps the point it deposited when it detached).
-fn session_points<V: DbValue>(inner: &DbInner<V>, v: u64) -> Vec<SessionCpr> {
-    let mut points: HashMap<u64, u64> = inner.durable_points.lock().clone();
-    for (guid, p) in inner
-        .detached
-        .points_for(v)
-        .into_iter()
-        .chain(inner.registry.cpr_points())
-    {
-        let e = points.entry(guid).or_insert(0);
-        *e = (*e).max(p);
-    }
-    let mut out: Vec<SessionCpr> = points
-        .into_iter()
-        .map(|(guid, cpr_point)| SessionCpr { guid, cpr_point })
-        .collect();
-    out.sort_unstable_by_key(|s| s.guid);
-    out
 }
 
 /// Load a checkpoint produced by [`capture`] into a fresh database.
@@ -387,7 +334,7 @@ pub(crate) fn replay_wal<V: DbValue>(inner: &DbInner<V>, path: &Path) -> io::Res
     if !path.exists() {
         return Ok(());
     }
-    let version = inner.state.version();
+    let version = inner.core.state.version();
     // `Wal::replay`'s visitor cannot return errors; park the first one
     // here and surface it after the walk.
     let mut failed: Option<io::Error> = None;
@@ -525,5 +472,67 @@ mod tests {
             }
             assert!(bytes == file, "{threads} capture threads");
         }
+    }
+
+    /// With incremental checkpoints, every `MAX_CHAIN_LEN`-th capture
+    /// after a full one is full again: retention then deletes the old
+    /// chain, so the directory stays bounded, and recovery still returns
+    /// the exact state.
+    #[test]
+    fn incremental_chain_restarts_full_at_max_len() {
+        use crate::client::{Access, TxnRequest};
+        use std::collections::BTreeMap;
+        use std::time::{Duration, Instant};
+
+        let dir = tempfile::tempdir().unwrap();
+        let mk = || {
+            MemDb::<u64>::builder(Durability::Cpr)
+                .dir(dir.path())
+                .capacity(64)
+                .incremental(true)
+        };
+        let settled = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while std::fs::read_dir(dir.path()).unwrap().count() != n {
+                assert!(Instant::now() < deadline, "never {n} checkpoints");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let db = mk().open().unwrap();
+        let mut expected = BTreeMap::new();
+        let rounds = 2 * MAX_CHAIN_LEN as u64 + 3;
+        for round in 1..=rounds {
+            let mut s = db.session(1);
+            let mut reads = Vec::new();
+            for k in [round % 16, (round * 7 + 3) % 16] {
+                let accesses = [(k, Access::Write)];
+                let txn = TxnRequest {
+                    accesses: &accesses,
+                    write_seeds: &[round],
+                };
+                while s.execute(&txn, &mut reads).is_err() {}
+                expected.insert(k, round);
+            }
+            drop(s);
+            db.commit_and_wait(Duration::from_secs(20)).unwrap();
+            let len = db.inner.checkpoint_chain.lock().len();
+            assert_eq!(
+                len,
+                (round as usize - 1) % MAX_CHAIN_LEN + 1,
+                "round {round}"
+            );
+            if round == MAX_CHAIN_LEN as u64 + 1 {
+                // The first full capture after a whole chain: the chain
+                // before it is deleted.
+                settled(1);
+            }
+        }
+        drop(db);
+        settled((rounds as usize - 1) % MAX_CHAIN_LEN + 1);
+
+        let (db, manifest) = mk().recover().unwrap();
+        assert_eq!(manifest.unwrap().version, rounds);
+        let expected: Vec<(u64, u64)> = expected.into_iter().collect();
+        assert_eq!(db.scan_all(), expected);
     }
 }

@@ -6,13 +6,11 @@
 //! per-transaction synchronization of this state is the key to CPR's
 //! scalability.
 
-use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cpr_core::liveness::{BusyState, Clock, SessionStatus};
-use cpr_core::{Phase, SessionInfo};
+use cpr_core::liveness::{BusyState, SessionStatus};
+use cpr_core::{Entry, Participant, Phase, Refreshed, SessionInfo};
 use cpr_metrics::Registry;
 
 use crate::db::{DbInner, Durability};
@@ -48,26 +46,13 @@ pub struct TxnRequest<'a> {
 /// A client session (paper Sec. 5.2 applied to the transactional DB).
 pub struct Session<V: DbValue> {
     db: Arc<DbInner<V>>,
-    guard: cpr_epoch::Guard,
-    slot: usize,
-    guid: u64,
-    /// Thread-local view of the global state machine.
-    phase: Phase,
-    version: u64,
-    /// Serial number of the last *committed* transaction.
-    serial: u64,
-    ops_since_refresh: u64,
-    /// CPR points awaiting durability: (db version, serial at point).
-    pending_points: VecDeque<(u64, u64)>,
-    durable_serial: u64,
-    /// Lease clock, present iff the database runs a liveness watchdog.
-    clock: Option<Arc<dyn Clock>>,
+    /// The session's part in the CPR protocol; its serial is that of the
+    /// last *committed* transaction.
+    part: Participant,
     /// Metrics sink (cached Arc + enabled flag so the hot path pays one
     /// branch, no pointer chase, when metrics are off).
     metrics: Arc<Registry>,
     metrics_on: bool,
-    /// Cached "this session has been evicted" flag (set once, sticky).
-    evicted: bool,
     /// Test hook: runs right after the session enters a transaction
     /// (busy = in-txn, before lock acquisition).
     pause_in_txn: Option<Box<dyn FnMut() + Send>>,
@@ -84,38 +69,15 @@ pub struct Session<V: DbValue> {
 
 impl<V: DbValue> Session<V> {
     pub(crate) fn new(db: Arc<DbInner<V>>, guid: u64, start_serial: u64) -> Self {
-        let (phase, version) = db.state.load();
-        let slot = db.registry.acquire(guid, phase, version);
-        // Publish the resumed serial immediately: a checkpoint racing this
-        // attach must see the session's true position, not a fresh 0.
-        db.registry.set_serial(slot, start_serial);
-        let mut guard = db.epoch.register();
         let clock = db.opts.liveness.as_ref().map(|l| Arc::clone(&l.clock));
-        if let Some(c) = &clock {
-            // Publish the epoch slot so the watchdog can reclaim it, stamp
-            // the lease, and arm the thread-exit sentinel so a dying
-            // client thread frees its epoch slot.
-            db.registry.set_epoch_slot(slot, guard.slot());
-            db.registry.heartbeat(slot, c.now());
-            guard.arm_exit_sentinel();
-        }
+        let part = Participant::attach(&db.core, &db.epoch, guid, start_serial, clock);
         let metrics = Arc::clone(&db.opts.metrics);
         let metrics_on = metrics.is_enabled();
         Session {
             db,
-            guard,
-            slot,
-            guid,
-            phase,
-            version,
-            serial: start_serial,
-            ops_since_refresh: 0,
-            pending_points: VecDeque::new(),
-            durable_serial: start_serial,
-            clock,
+            part,
             metrics,
             metrics_on,
-            evicted: false,
             pause_in_txn: None,
             pause_locked: None,
             locked: Vec::new(),
@@ -141,65 +103,29 @@ impl<V: DbValue> Session<V> {
 
     /// True once the watchdog has evicted this session.
     pub fn is_evicted(&self) -> bool {
-        self.evicted
-            || (self.clock.is_some()
-                && self.db.registry.status(self.slot) == SessionStatus::Evicted)
+        self.part.is_evicted(&self.db.core)
     }
 
     pub fn guid(&self) -> u64 {
-        self.guid
+        self.part.guid
     }
 
     /// Serial number of the last committed transaction.
     pub fn serial(&self) -> u64 {
-        self.serial
-    }
-
-    /// Thread-local (phase, version) view.
-    #[deprecated(since = "0.2.0", note = "use `Session::info()` instead")]
-    pub fn view(&self) -> (Phase, u64) {
-        (self.phase, self.version)
+        self.part.serial
     }
 
     /// Snapshot of this session's identity and thread-local state-machine
     /// view. Shares its shape with `cpr-faster`'s sessions.
     pub fn info(&self) -> SessionInfo {
-        SessionInfo {
-            guid: self.guid,
-            serial: self.serial,
-            phase: self.phase,
-            version: self.version.into(),
-        }
+        self.part.info()
     }
 
     /// Publish the local epoch, adopt any global state change, and mark a
     /// CPR point when crossing prepare → in-progress (paper Alg. 1).
     pub fn refresh(&mut self) {
-        self.guard.refresh();
-        self.ops_since_refresh = 0;
-        if let Some(c) = &self.clock {
-            // Lease renewal: one relaxed store (plus one relaxed probe of
-            // the sticky eviction flag) — the whole hot-path liveness cost.
-            self.db.registry.heartbeat(self.slot, c.now());
-            if self.evicted || self.db.registry.is_evicted(self.slot) {
-                self.evicted = true;
-                return;
-            }
-        }
-        let (gp, gv) = self.db.state.load();
-        if (gp, gv) == (self.phase, self.version) {
-            return;
-        }
-        let crossed = self.phase <= Phase::Prepare
-            && ((gv == self.version && gp >= Phase::InProgress) || gv > self.version);
-        if crossed {
-            let point = self.db.registry.mark_cpr_point(self.slot);
-            self.pending_points.push_back((self.version, point));
-        }
-        self.phase = gp;
-        self.version = gv;
-        self.db.registry.publish(self.slot, gp, gv);
-        if self.phase != Phase::Rest {
+        let changed = self.part.refresh(&self.db.core, |_, _| {}) == Refreshed::Changed;
+        if changed && self.part.phase != Phase::Rest {
             // A commit is in flight: cede the CPU so the capture thread
             // makes progress even on a single core.
             std::thread::yield_now();
@@ -207,27 +133,10 @@ impl<V: DbValue> Session<V> {
     }
 
     /// Largest serial number known durable for this session: every
-    /// transaction with serial ≤ this survives any crash.
+    /// transaction with serial ≤ this survives any crash. In WAL mode that
+    /// is the last explicit sync ([`Session::note_wal_synced`]).
     pub fn durable_serial(&mut self) -> u64 {
-        match self.db.opts.durability {
-            Durability::Wal => {
-                // Group commit: everything synced so far. We approximate
-                // with the last explicit sync (tests call request_commit).
-                self.durable_serial
-            }
-            _ => {
-                let cv = self.db.committed_version.load(Ordering::Acquire);
-                while let Some(&(v, s)) = self.pending_points.front() {
-                    if v <= cv {
-                        self.durable_serial = self.durable_serial.max(s);
-                        self.pending_points.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                self.durable_serial
-            }
-        }
+        self.part.durable_serial(&self.db.core)
     }
 
     /// Execute one transaction. Reads are appended to `reads` (cleared
@@ -237,11 +146,11 @@ impl<V: DbValue> Session<V> {
     /// per commit — paper Sec. 4.1).
     pub fn execute(&mut self, txn: &TxnRequest<'_>, reads: &mut Vec<V>) -> Result<(), Abort> {
         reads.clear();
-        self.ops_since_refresh += 1;
-        if self.ops_since_refresh >= self.db.opts.refresh_every {
+        self.part.ops_since_refresh += 1;
+        if self.part.ops_since_refresh >= self.db.opts.refresh_every {
             self.refresh();
         }
-        if self.clock.is_some() {
+        if self.part.live() {
             self.begin_op()?;
         }
         if let Some(mut f) = self.pause_in_txn.take() {
@@ -256,14 +165,12 @@ impl<V: DbValue> Session<V> {
             Durability::Wal => self.exec_wal(txn, reads, profile),
             _ => self.exec_versioned(txn, reads),
         };
-        if self.clock.is_some() {
-            self.db.registry.set_busy(self.slot, BusyState::Idle);
-        }
+        self.part.set_busy(&self.db.core, BusyState::Idle);
 
         match result {
             Ok(()) => {
-                self.serial += 1;
-                self.db.registry.set_serial(self.slot, self.serial);
+                self.part.serial += 1;
+                self.part.publish_serial(&self.db.core);
                 self.stats.committed += 1;
                 if let Some(t0) = t0 {
                     let side = self.stats.take_pending_side_ns();
@@ -303,30 +210,15 @@ impl<V: DbValue> Session<V> {
         }
     }
 
-    /// Enter the busy window (Dekker: SeqCst busy store, then SeqCst
-    /// status load — pairs with the watchdog's suspend/evict CASes). A
-    /// suspended session waits out any in-flight proxy publish, adopts the
-    /// state published on its behalf, and retries; an evicted one fails
-    /// fast with a sticky error.
+    /// Enter the busy window through the watchdog entry protocol. A
+    /// suspended session adopts the state published on its behalf and
+    /// retries; an evicted one fails fast with a sticky error.
     fn begin_op(&mut self) -> Result<(), Abort> {
         loop {
-            if self.evicted {
-                return Err(Abort::SessionEvicted);
-            }
-            self.db.registry.set_busy(self.slot, BusyState::InTxn);
-            match self.db.registry.status(self.slot) {
-                SessionStatus::Active => return Ok(()),
-                _ => {
-                    // The watchdog intervened while we were idle: step back
-                    // out, wait for the hand-off to finish, refresh to at
-                    // least whatever it published for us, and try again.
-                    self.db.registry.set_busy(self.slot, BusyState::Idle);
-                    if self.db.registry.await_reactivate(self.slot) {
-                        self.refresh();
-                    } else {
-                        self.evicted = true;
-                    }
-                }
+            match self.part.try_begin_op(&self.db.core) {
+                Entry::Entered => return Ok(()),
+                Entry::Resumed => self.refresh(),
+                Entry::Evicted => return Err(Abort::SessionEvicted),
             }
         }
     }
@@ -334,17 +226,15 @@ impl<V: DbValue> Session<V> {
     /// Executor for CPR / CALC / no-durability modes (paper Alg. 1).
     fn exec_versioned(&mut self, txn: &TxnRequest<'_>, reads: &mut Vec<V>) -> Result<(), Abort> {
         let table = &self.db.table;
-        let v = self.version;
-        let phase = self.phase;
+        let v = self.part.version;
+        let phase = self.part.phase;
         // The version new records/writes belong to.
-        let txn_version = if phase >= Phase::InProgress { v + 1 } else { v };
+        let txn_version = self.part.txn_version();
 
-        if self.clock.is_some() {
-            // From here we acquire (and then hold) 2PL locks: the watchdog
-            // must not evict us — its only remedy for a straggler in this
-            // window is aborting the checkpoint and backing off.
-            self.db.registry.set_busy(self.slot, BusyState::Locking);
-        }
+        // From here we acquire (and then hold) 2PL locks: the watchdog
+        // must not evict us — its only remedy for a straggler in this
+        // window is aborting the checkpoint and backing off.
+        self.part.set_busy(&self.db.core, BusyState::Locking);
 
         // Acquire phase: lock the full read-write set (No-Wait).
         self.locked.clear();
@@ -401,7 +291,7 @@ impl<V: DbValue> Session<V> {
             return Err(abort);
         }
 
-        if self.clock.is_some() {
+        if self.part.live() {
             if let Some(mut f) = self.pause_locked.take() {
                 f();
                 self.pause_locked = Some(f);
@@ -413,20 +303,20 @@ impl<V: DbValue> Session<V> {
             // applying now could grow the committed prefix inconsistently.
             // Shifts done above are safe: they are idempotent maintenance
             // any session at this view would perform.
-            match self.db.registry.status(self.slot) {
+            match self.db.core.registry.status(self.part.slot) {
                 SessionStatus::Active => {}
                 SessionStatus::Evicted => {
                     release_all(table, &self.locked);
-                    self.evicted = true;
+                    self.part.evicted = true;
                     return Err(Abort::SessionEvicted);
                 }
                 _ => {
                     release_all(table, &self.locked);
-                    if self.db.registry.await_reactivate(self.slot) {
+                    if self.db.core.registry.await_reactivate(self.part.slot) {
                         self.refresh();
                         return Err(Abort::Conflict);
                     }
-                    self.evicted = true;
+                    self.part.evicted = true;
                     return Err(Abort::SessionEvicted);
                 }
             }
@@ -479,7 +369,7 @@ impl<V: DbValue> Session<V> {
         // are held — the measured serial bottleneck.
         if let Some(log) = &self.db.commit_log {
             let t = self.db.opts.profile.then(Instant::now);
-            log.append((self.guid << 32) | (self.serial + 1));
+            log.append((self.part.guid << 32) | (self.part.serial + 1));
             if let Some(t) = t {
                 self.stats.note_side_ns(t.elapsed().as_nanos() as u64, true);
             }
@@ -497,9 +387,7 @@ impl<V: DbValue> Session<V> {
         profile: bool,
     ) -> Result<(), Abort> {
         let table = &self.db.table;
-        if self.clock.is_some() {
-            self.db.registry.set_busy(self.slot, BusyState::Locking);
-        }
+        self.part.set_busy(&self.db.core, BusyState::Locking);
         self.locked.clear();
         for &(key, access) in txn.accesses {
             let (slot, _) = table.get_or_insert_slot(key, 1, V::from_seed(0));
@@ -600,7 +488,7 @@ impl<V: DbValue> Session<V> {
     /// an explicit WAL sync (used by the bench harness after
     /// `request_commit` in WAL mode).
     pub fn note_wal_synced(&mut self) {
-        self.durable_serial = self.serial;
+        self.part.note_durable();
     }
 }
 
@@ -618,28 +506,7 @@ fn release_all<V: DbValue>(table: &Table<V>, locked: &[(u32, bool)]) {
 impl<V: DbValue> Drop for Session<V> {
     fn drop(&mut self) {
         self.db.merged_stats.lock().merge(&self.stats);
-        // Deposit this session's commit points before freeing the slot:
-        // once released the registry forgets the guid, but a later
-        // checkpoint (or a reconnecting client) still needs them.
-        if self.evicted || self.db.registry.is_evicted(self.slot) {
-            // Eviction aborted everything after the rolled-back point; the
-            // pre-eviction serial must never be reported.
-            let point = self.db.registry.cpr_point(self.slot);
-            self.db
-                .detached
-                .record_evicted(self.guid, self.version, point);
-        } else {
-            let txn_version = if self.phase >= Phase::InProgress {
-                self.version + 1
-            } else {
-                self.version
-            };
-            let points: Vec<(u64, u64)> = self.pending_points.iter().copied().collect();
-            self.db
-                .detached
-                .record(self.guid, points, (txn_version, self.serial));
-        }
-        self.db.registry.release(self.slot);
+        self.part.detach(&self.db.core);
         // The epoch guard drops afterwards, draining any pending actions.
     }
 }

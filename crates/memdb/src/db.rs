@@ -5,24 +5,23 @@
 //! Durability is pluggable: **CPR** (this paper), **CALC** (atomic commit
 //! log baseline), **WAL** (group-commit redo log baseline), or none.
 
+use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use std::collections::HashMap;
-
+use cpr_core::commit::{advance_when_all_at, always};
 use cpr_core::liveness::{CommitOutcome, LivenessConfig, SessionStatus};
+use cpr_core::watchdog::Remedies;
 use cpr_core::{
-    CheckpointKind, CheckpointManifest, CheckpointVersion, DetachedSessions, Phase, SessionId,
-    SessionRegistry, SystemState,
+    CheckpointKind, CheckpointManifest, CheckpointVersion, CommitCore, CprEngine, Phase, SessionId,
 };
 use cpr_epoch::EpochManager;
 use cpr_metrics::{MetricsReport, Registry};
 use cpr_storage::{CheckpointStore, FaultInjector};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::calc::CommitLog;
 use crate::checkpoint;
@@ -48,65 +47,31 @@ pub enum Durability {
     Wal,
 }
 
-/// Database options.
+/// WAL ring capacity in bytes (power of two): 64 MiB.
+const WAL_CAPACITY: u64 = 1 << 26;
+/// CALC commit-log ring capacity in entries.
+const COMMIT_LOG_CAPACITY: usize = 1 << 20;
+
+/// Database options, set (and documented) through [`MemDbBuilder`].
 #[derive(Debug, Clone)]
-pub struct MemDbOptions {
+pub(crate) struct MemDbOptions {
     pub durability: Durability,
-    /// Expected number of records: sizes the hash index and the first
-    /// chunk of record slots (inserts past it add chunks).
     pub capacity: usize,
-    /// Checkpoint / log directory (required unless `Durability::None`).
     pub dir: Option<PathBuf>,
-    /// Maximum concurrently open sessions.
     pub max_sessions: usize,
-    /// Ops between epoch refreshes — the `k` of Alg. 1.
     pub refresh_every: u64,
-    /// Collect the Fig. 10e time breakdown (adds two `Instant` reads per
-    /// transaction segment).
     pub profile: bool,
-    /// WAL ring capacity in bytes (power of two).
-    pub wal_capacity: u64,
-    /// WAL group-commit window.
     pub group_commit: Duration,
-    /// CALC commit-log ring capacity (entries).
-    pub commit_log_capacity: usize,
-    /// Incremental CPR checkpoints: capture only records modified since
-    /// the previous commit (paper Sec. 4.1's orthogonal optimization;
-    /// recovery applies the delta chain oldest → newest). The first
-    /// commit is always full.
     pub incremental: bool,
-    /// Optional fault injector for crash-recovery testing: applied to
-    /// checkpoint-store writes (CPR/CALC) and WAL flushes.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Session liveness watchdog (CPR/CALC only). When set, sessions carry
-    /// heartbeat leases and a background thread unwedges in-flight commits
-    /// blocked by stragglers: proxy-advancing idle ones, evicting those
-    /// parked mid-transaction, and timing the checkpoint out (abort +
-    /// backoff + retry) when a straggler holds 2PL locks.
     pub liveness: Option<LivenessConfig>,
-    /// Metrics registry. Defaults to the no-op sink
-    /// ([`cpr_metrics::Registry::noop`]), which keeps the hot paths free
-    /// of timing calls; pass [`cpr_metrics::Registry::new`] to collect.
     pub metrics: Arc<Registry>,
-    /// Worker threads serializing the stable version during checkpoint
-    /// capture (each takes a contiguous range of record slots; the
-    /// checkpoint bytes are identical at any thread count). Defaults to
-    /// the `CPR_IO_THREADS` environment variable (1 when unset).
     pub capture_threads: usize,
-    /// Worker threads loading checkpoint files during recovery. Defaults
-    /// to the `CPR_IO_THREADS` environment variable (1 when unset). The
-    /// recovered state is identical at any thread count; WAL replay stays
-    /// sequential (its records are order-dependent).
     pub recovery_threads: usize,
 }
 
 impl MemDbOptions {
-    #[deprecated(since = "0.2.0", note = "use `MemDb::builder(durability)` instead")]
-    pub fn new(durability: Durability) -> Self {
-        Self::defaults(durability)
-    }
-
-    pub(crate) fn defaults(durability: Durability) -> Self {
+    fn defaults(durability: Durability) -> Self {
         MemDbOptions {
             durability,
             capacity: 1 << 16,
@@ -114,9 +79,7 @@ impl MemDbOptions {
             max_sessions: 64,
             refresh_every: 64,
             profile: false,
-            wal_capacity: 1 << 26, // 64 MiB
             group_commit: Duration::from_millis(5),
-            commit_log_capacity: 1 << 20,
             incremental: false,
             fault: None,
             liveness: None,
@@ -124,55 +87,6 @@ impl MemDbOptions {
             capture_threads: cpr_storage::env_io_threads(),
             recovery_threads: cpr_storage::env_io_threads(),
         }
-    }
-
-    pub fn capacity(mut self, c: usize) -> Self {
-        self.capacity = c;
-        self
-    }
-    pub fn dir(mut self, d: impl Into<PathBuf>) -> Self {
-        self.dir = Some(d.into());
-        self
-    }
-    pub fn max_sessions(mut self, n: usize) -> Self {
-        self.max_sessions = n;
-        self
-    }
-    pub fn refresh_every(mut self, k: u64) -> Self {
-        self.refresh_every = k;
-        self
-    }
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
-        self
-    }
-    pub fn group_commit(mut self, d: Duration) -> Self {
-        self.group_commit = d;
-        self
-    }
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-    pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
-        self.fault = Some(injector);
-        self
-    }
-    pub fn liveness(mut self, cfg: LivenessConfig) -> Self {
-        self.liveness = Some(cfg);
-        self
-    }
-    pub fn metrics(mut self, registry: Arc<Registry>) -> Self {
-        self.metrics = registry;
-        self
-    }
-    pub fn capture_threads(mut self, n: usize) -> Self {
-        self.capture_threads = n.max(1);
-        self
-    }
-    pub fn recovery_threads(mut self, n: usize) -> Self {
-        self.recovery_threads = n.max(1);
-        self
     }
 }
 
@@ -245,23 +159,15 @@ impl<V: DbValue> MemDbBuilder<V> {
         self.opts.profile = on;
         self
     }
-    /// WAL ring capacity in bytes, power of two (default 64 MiB).
-    pub fn wal_capacity(mut self, bytes: u64) -> Self {
-        self.opts.wal_capacity = bytes;
-        self
-    }
     /// WAL group-commit window (default 5 ms).
     pub fn group_commit(mut self, d: Duration) -> Self {
         self.opts.group_commit = d;
         self
     }
-    /// CALC commit-log ring capacity in entries (default 2^20).
-    pub fn commit_log_capacity(mut self, entries: usize) -> Self {
-        self.opts.commit_log_capacity = entries;
-        self
-    }
     /// Incremental CPR checkpoints — capture only records modified since
-    /// the previous commit (default off; the first commit is always full).
+    /// the previous commit (default off). Recovery applies the delta chain
+    /// oldest → newest; the first commit is always full, and so is the
+    /// one after a chain of eight checkpoints.
     pub fn incremental(mut self, on: bool) -> Self {
         self.opts.incremental = on;
         self
@@ -272,7 +178,11 @@ impl<V: DbValue> MemDbBuilder<V> {
         self.opts.fault = Some(injector);
         self
     }
-    /// Enable the session liveness watchdog (default off).
+    /// Enable the session liveness watchdog (default off; CPR/CALC only):
+    /// sessions carry heartbeat leases, and a background thread unwedges
+    /// commits blocked by stragglers — proxy-advancing idle ones, evicting
+    /// those parked mid-transaction, and timing the checkpoint out when a
+    /// straggler holds 2PL locks.
     pub fn liveness(mut self, cfg: LivenessConfig) -> Self {
         self.opts.liveness = Some(cfg);
         self
@@ -298,10 +208,6 @@ impl<V: DbValue> MemDbBuilder<V> {
         self.opts.recovery_threads = n.max(1);
         self
     }
-    /// Escape hatch: the underlying [`MemDbOptions`].
-    pub fn options(self) -> MemDbOptions {
-        self.opts
-    }
     /// Open a fresh database.
     pub fn open(self) -> io::Result<MemDb<V>> {
         MemDb::open_at_version(self.opts, 1)
@@ -314,49 +220,27 @@ impl<V: DbValue> MemDbBuilder<V> {
 }
 
 pub(crate) struct DbInner<V: DbValue> {
+    /// The CPR protocol core: state machine, sessions, commit publication.
+    /// First, so that dropping the database joins its worker threads
+    /// before any other field is freed.
+    pub(crate) core: CommitCore,
     pub(crate) opts: MemDbOptions,
     pub(crate) table: Table<V>,
-    pub(crate) state: SystemState,
-    pub(crate) registry: SessionRegistry,
     pub(crate) epoch: Arc<EpochManager>,
-    /// Highest version whose checkpoint is durable (0 = none).
-    pub(crate) committed_version: AtomicU64,
-    pub(crate) commit_lock: Mutex<()>,
-    pub(crate) commit_cv: Condvar,
     pub(crate) store: Option<CheckpointStore>,
     pub(crate) commit_log: Option<CommitLog>,
     pub(crate) wal: Option<Wal>,
-    capture_tx: Mutex<Option<crossbeam::channel::Sender<u64>>>,
-    capture_thread: Mutex<Option<JoinHandle<()>>>,
-    watchdog_thread: Mutex<Option<JoinHandle<()>>>,
     /// Set by the watchdog to time out a capture stuck behind a straggler's
     /// record latches; the capture pass polls it and takes the abort path.
     pub(crate) capture_abort: AtomicBool,
-    /// Outcome of the in-flight (or most recent) supervised commit.
-    pub(crate) outcome: Mutex<CommitOutcome>,
     pub(crate) merged_stats: Mutex<ClientStats>,
-    /// Checkpoints that failed on I/O and were aborted (no manifest).
-    pub(crate) checkpoint_failures: AtomicU64,
     /// Wall-clock duration of the last completed capture pass.
     pub(crate) last_capture: Mutex<Option<Duration>>,
     /// What recovery reads for the newest Database checkpoint: its token
     /// first (the next delta's base), then its delta base chain back to a
     /// full checkpoint. Retention keeps exactly these directories.
     pub(crate) checkpoint_chain: Mutex<Vec<u64>>,
-    /// Per-guid commit points of the newest durable manifest, seeded from
-    /// the recovery manifest and carried into each new manifest so
-    /// sessions absent at commit time keep their recovery contract.
-    pub(crate) durable_points: Mutex<HashMap<u64, u64>>,
-    /// Commit points (and live-resume serials) of sessions that detached
-    /// since the database opened.
-    pub(crate) detached: DetachedSessions,
-    /// Commit observers: called with (version, CPR points) after every
-    /// durable commit, on the capture thread.
-    pub(crate) commit_callbacks: Mutex<Vec<CommitCallback>>,
 }
-
-/// Commit observer: `(committed version, per-session CPR points)`.
-pub type CommitCallback = Box<dyn Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync>;
 
 /// Handle to a database; cheap to clone.
 pub struct MemDb<V: DbValue> {
@@ -382,15 +266,6 @@ impl<V: DbValue> MemDb<V> {
         }
     }
 
-    /// Open a fresh database.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MemDb::builder(durability)…open()` instead"
-    )]
-    pub fn open(opts: MemDbOptions) -> io::Result<Self> {
-        Self::open_at_version(opts, 1)
-    }
-
     fn open_at_version(opts: MemDbOptions, version: u64) -> io::Result<Self> {
         let store = match (&opts.durability, &opts.dir) {
             (Durability::Cpr | Durability::Calc, Some(dir)) => {
@@ -411,7 +286,7 @@ impl<V: DbValue> MemDb<V> {
                 let gen = next_wal_generation(dir)?;
                 Some(Wal::create_with(
                     dir.join(format!("wal.{gen}.log")),
-                    opts.wal_capacity,
+                    WAL_CAPACITY,
                     opts.group_commit,
                     opts.fault.clone(),
                 )?)
@@ -425,31 +300,19 @@ impl<V: DbValue> MemDb<V> {
             _ => None,
         };
         let commit_log = matches!(opts.durability, Durability::Calc)
-            .then(|| CommitLog::new(opts.commit_log_capacity));
+            .then(|| CommitLog::new(COMMIT_LOG_CAPACITY));
 
         let inner = Arc::new(DbInner {
             table: Table::new(opts.capacity),
-            state: SystemState::at_version(version),
-            registry: SessionRegistry::new(opts.max_sessions),
+            core: CommitCore::new(opts.max_sessions, version, HashMap::new()),
             epoch: Arc::new(EpochManager::new(opts.max_sessions + 8)),
-            committed_version: AtomicU64::new(version.saturating_sub(1)),
-            commit_lock: Mutex::new(()),
-            commit_cv: Condvar::new(),
             store,
             commit_log,
             wal,
-            capture_tx: Mutex::new(None),
-            capture_thread: Mutex::new(None),
-            watchdog_thread: Mutex::new(None),
             capture_abort: AtomicBool::new(false),
-            outcome: Mutex::new(CommitOutcome::default()),
             merged_stats: Mutex::new(ClientStats::default()),
-            checkpoint_failures: AtomicU64::new(0),
             last_capture: Mutex::new(None),
             checkpoint_chain: Mutex::new(Vec::new()),
-            durable_points: Mutex::new(HashMap::new()),
-            detached: DetachedSessions::new(),
-            commit_callbacks: Mutex::new(Vec::new()),
             opts,
         });
 
@@ -458,41 +321,14 @@ impl<V: DbValue> MemDb<V> {
         }
 
         if inner.store.is_some() {
-            let (tx, rx) = crossbeam::channel::unbounded::<u64>();
-            // Weak: the capture thread must not keep the database alive.
-            let worker = Arc::downgrade(&inner);
-            let handle = std::thread::Builder::new()
-                .name("cpr-memdb-capture".into())
-                .spawn(move || {
-                    for version in rx {
-                        let Some(inner) = worker.upgrade() else { break };
-                        checkpoint::capture(&inner, version);
-                    }
-                })
-                .expect("spawn capture thread");
-            *inner.capture_tx.lock() = Some(tx);
-            *inner.capture_thread.lock() = Some(handle);
-
+            CommitCore::start_flush_worker(&inner, "cpr-memdb-capture", |inner, v| {
+                checkpoint::capture(inner, v)
+            });
             if let Some(cfg) = inner.opts.liveness.clone() {
-                let weak = Arc::downgrade(&inner);
-                let handle = std::thread::Builder::new()
-                    .name("cpr-memdb-watchdog".into())
-                    .spawn(move || crate::watchdog::run(weak, cfg))
-                    .expect("spawn watchdog thread");
-                *inner.watchdog_thread.lock() = Some(handle);
+                cpr_core::watchdog::start(&inner, cfg, "cpr-memdb-watchdog");
             }
         }
         Ok(MemDb { inner })
-    }
-
-    /// Recover from the newest committed checkpoint (CPR/CALC) or by
-    /// replaying the redo log (WAL). Returns the manifest used, if any.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MemDb::builder(durability)…recover()` instead"
-    )]
-    pub fn recover(opts: MemDbOptions) -> io::Result<(Self, Option<CheckpointManifest>)> {
-        Self::recover_inner(opts)
     }
 
     fn recover_inner(opts: MemDbOptions) -> io::Result<(Self, Option<CheckpointManifest>)> {
@@ -523,11 +359,13 @@ impl<V: DbValue> MemDb<V> {
                 // Seed the durable commit points so resumed sessions learn
                 // their recovered prefix (paper Sec. 2's per-session
                 // contract).
-                *db.inner.durable_points.lock() = manifest
-                    .sessions
-                    .iter()
-                    .map(|s| (s.guid, s.cpr_point))
-                    .collect();
+                db.inner.core.seed_durable_points(
+                    manifest
+                        .sessions
+                        .iter()
+                        .map(|s| (s.guid, s.cpr_point))
+                        .collect(),
+                );
                 Ok((db, Some(manifest)))
             }
             Durability::Wal => {
@@ -551,7 +389,7 @@ impl<V: DbValue> MemDb<V> {
     pub fn load(&self, key: u64, value: V) {
         self.inner
             .table
-            .insert(key, self.inner.state.version(), value);
+            .insert(key, self.inner.core.state.version(), value);
     }
 
     /// Pre-load unless present (used when re-seeding after recovery).
@@ -559,7 +397,7 @@ impl<V: DbValue> MemDb<V> {
         if self.inner.table.get(key).is_none() {
             // Benign race with another loader: `insert` would panic, so go
             // through the tolerant path and initialize via a write.
-            let version = self.inner.state.version();
+            let version = self.inner.core.state.version();
             let (rec, _) = self.inner.table.get_or_insert(key, version, value);
             if rec.birth() == 0 {
                 loop {
@@ -599,34 +437,25 @@ impl<V: DbValue> MemDb<V> {
     /// from the recovery manifest: every later serial must be re-issued
     /// (the CPR resume contract, paper Sec. 2).
     pub fn continue_session(&self, guid: u64) -> (Session<V>, u64) {
-        let serial = self
-            .inner
-            .detached
-            .last_serial(guid)
-            .or_else(|| self.inner.durable_points.lock().get(&guid).copied())
-            .unwrap_or(0);
+        let serial = self.inner.core.resume_serial(guid);
         (Session::new(Arc::clone(&self.inner), guid, serial), serial)
     }
 
     /// The guid's durable commit point: the serial below which every op is
     /// guaranteed recovered after a crash right now.
     pub fn durable_point(&self, guid: u64) -> u64 {
-        self.inner
-            .durable_points
-            .lock()
-            .get(&guid)
-            .copied()
-            .unwrap_or(0)
+        self.inner.core.durable_point(guid)
     }
 
     /// Register a commit observer: called with the committed version and
-    /// every session's CPR point after each durable commit. Runs on the
-    /// capture thread — keep it brief.
+    /// every session's CPR point after each durable commit, before
+    /// [`MemDb::committed_version`] reports it. Runs on the capture
+    /// thread — keep it brief.
     pub fn on_commit(
         &self,
         callback: impl Fn(u64, &[cpr_core::SessionCpr]) + Send + Sync + 'static,
     ) {
-        self.inner.commit_callbacks.lock().push(Box::new(callback));
+        self.inner.core.on_commit(Box::new(callback));
     }
 
     /// Full scan: every live `(key, value)` pair, sorted by key. Takes
@@ -678,18 +507,14 @@ impl<V: DbValue> MemDb<V> {
             Durability::None => false,
             Durability::Wal => {
                 self.inner.wal.as_ref().expect("wal").sync();
-                let _g = self.inner.commit_lock.lock();
-                self.inner.commit_cv.notify_all();
+                self.inner.core.notify();
                 true
             }
             Durability::Cpr | Durability::Calc => {
                 if !start_commit(&self.inner) {
                     return false;
                 }
-                *self.inner.outcome.lock() = CommitOutcome {
-                    attempts: 1,
-                    ..CommitOutcome::default()
-                };
+                self.inner.core.begin_outcome();
                 true
             }
         }
@@ -698,18 +523,18 @@ impl<V: DbValue> MemDb<V> {
     /// Version of the newest durable checkpoint
     /// ([`CheckpointVersion::NONE`] = none yet).
     pub fn committed_version(&self) -> CheckpointVersion {
-        CheckpointVersion(self.inner.committed_version.load(Ordering::Acquire))
+        self.inner.core.committed_version()
     }
 
     /// Number of checkpoint attempts that failed on I/O and were aborted
     /// (no manifest committed; sessions returned to rest).
     pub fn checkpoint_failures(&self) -> u64 {
-        self.inner.checkpoint_failures.load(Ordering::Acquire)
+        self.inner.core.checkpoint_failures()
     }
 
     /// Current (phase, version) of the commit state machine.
     pub fn state(&self) -> (Phase, u64) {
-        self.inner.state.load()
+        self.inner.core.state.load()
     }
 
     /// Block until the checkpoint of `version` is durable. Requires
@@ -720,20 +545,9 @@ impl<V: DbValue> MemDb<V> {
         version: impl Into<CheckpointVersion>,
         timeout: Duration,
     ) -> bool {
-        let version = version.into();
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.commit_lock.lock();
-        while self.committed_version() < version {
-            // Nudge the drain list in case no session is refreshing.
-            self.inner.epoch.try_drain();
-            if Instant::now() >= deadline {
-                return false;
-            }
-            self.inner
-                .commit_cv
-                .wait_for(&mut g, Duration::from_millis(1));
-        }
-        true
+        self.inner
+            .core
+            .wait_for_version(&self.inner.epoch, version.into(), timeout)
     }
 
     /// Request a commit and wait for its outcome.
@@ -755,49 +569,40 @@ impl<V: DbValue> MemDb<V> {
                 ..CommitOutcome::default()
             });
         }
-        let v = self.inner.state.version();
+        let core = &self.inner.core;
+        let v = core.state.version();
         if !self.request_commit() {
             return Err(CommitError::NotStarted);
         }
         let deadline = Instant::now() + timeout;
-        let mut g = self.inner.commit_lock.lock();
-        loop {
-            if self.committed_version() >= v {
-                let mut out = self.inner.outcome.lock();
-                out.committed_version = Some(self.committed_version());
-                return Ok(out.clone());
-            }
-            let gave_up = self.inner.outcome.lock().gave_up;
-            if gave_up || Instant::now() >= deadline {
-                let (phase, _) = self.inner.state.load();
-                return Err(CommitError::TimedOut {
-                    version: v.into(),
-                    phase,
-                    blockers: self.straggler_guids(),
-                });
-            }
-            // Nudge the drain list in case no session is refreshing.
-            self.inner.epoch.try_drain();
-            self.inner
-                .commit_cv
-                .wait_for(&mut g, Duration::from_millis(1));
+        core.wait_until(&self.inner.epoch, deadline, |c| {
+            c.committed_version() >= v || c.outcome().gave_up
+        });
+        if self.committed_version() >= v {
+            let mut out = core.outcome();
+            out.committed_version = Some(self.committed_version());
+            return Ok(out.clone());
         }
+        Err(CommitError::TimedOut {
+            version: v.into(),
+            phase: core.state.phase(),
+            blockers: self.straggler_guids(),
+        })
     }
 
     /// Outcome of the in-flight (or most recent) supervised commit.
     pub fn last_commit_outcome(&self) -> CommitOutcome {
-        self.inner.outcome.lock().clone()
+        self.inner.core.last_commit_outcome()
     }
 
     /// The sessions currently holding a commit back: phase blockers while
     /// sessions gate the transition, expired leases otherwise (capture
     /// wedged behind a straggler's latches, or the watchdog gave up).
     fn straggler_guids(&self) -> Vec<SessionId> {
-        let (phase, v) = self.inner.state.load();
+        let reg = &self.inner.core.registry;
+        let (phase, v) = self.inner.core.state.load();
         if matches!(phase, Phase::Prepare | Phase::InProgress) {
-            return self
-                .inner
-                .registry
+            return reg
                 .blockers(phase, v)
                 .into_iter()
                 .map(|(_, guid)| guid)
@@ -807,7 +612,6 @@ impl<V: DbValue> MemDb<V> {
             return Vec::new();
         };
         let now = cfg.clock.now();
-        let reg = &self.inner.registry;
         (0..reg.capacity())
             .filter_map(|i| {
                 let guid = reg.guid(i)?;
@@ -859,87 +663,96 @@ pub(crate) fn ckpt_kind_label<V: DbValue>(inner: &DbInner<V>) -> &'static str {
     }
 }
 
-/// Kick off the CPR/CALC commit state machine at the current version.
-/// Shared by [`MemDb::request_commit`] and the watchdog's retries.
+/// Kick off the CPR/CALC commit state machine at the current version:
+/// `rest → prepare`, then the epoch triggers through in-progress to
+/// wait-flush, which hands the version to the capture thread. Shared by
+/// [`MemDb::request_commit`] and the watchdog's retries.
 pub(crate) fn start_commit<V: DbValue>(inner: &Arc<DbInner<V>>) -> bool {
-    let v = inner.state.version();
+    let v = inner.core.state.version();
     if !inner
+        .core
         .state
         .transition((Phase::Rest, v), (Phase::Prepare, v))
     {
         return false;
     }
-    let metrics_on = inner.opts.metrics.is_enabled();
-    if metrics_on {
-        inner
-            .opts
-            .metrics
-            .checkpoints
-            .begin(v, ckpt_kind_label(inner));
-    }
-    let cond = {
-        let inner = Arc::clone(inner);
-        move || {
-            let ready = inner.registry.all_at_least(Phase::Prepare, v);
-            if !ready && metrics_on {
-                if let Some((_, guid)) = inner.registry.first_blocker(Phase::Prepare, v) {
-                    inner.opts.metrics.checkpoints.note_blocker(guid);
-                }
-            }
-            ready
-        }
-    };
-    let action = {
-        let inner = Arc::clone(inner);
-        move || prepare_to_inprog(inner, v)
-    };
     inner
-        .epoch
-        .bump_epoch(Some(Box::new(cond)), Box::new(action));
+        .opts
+        .metrics
+        .checkpoints
+        .begin(v, ckpt_kind_label(inner));
+    advance_when_all_at(
+        inner,
+        v,
+        Phase::Prepare,
+        Phase::InProgress,
+        always,
+        |inner, v| {
+            advance_when_all_at(
+                &inner,
+                v,
+                Phase::InProgress,
+                Phase::WaitFlush,
+                always,
+                |inner, v| inner.core.hand_off(v),
+            )
+        },
+    );
     true
 }
 
-fn prepare_to_inprog<V: DbValue>(inner: Arc<DbInner<V>>, v: u64) {
-    // A failed transition means the watchdog timed this checkpoint out
-    // (aborted to rest at v + 1) before the trigger fired: stand down and
-    // let the retry start a fresh state machine.
-    if !inner
-        .state
-        .transition((Phase::Prepare, v), (Phase::InProgress, v))
-    {
-        return;
+impl<V: DbValue> CprEngine for DbInner<V> {
+    fn core(&self) -> &CommitCore {
+        &self.core
     }
-    let metrics_on = inner.opts.metrics.is_enabled();
-    if metrics_on {
-        inner.opts.metrics.checkpoints.mark(v, "in-progress");
+    fn epoch(&self) -> &EpochManager {
+        &self.epoch
     }
-    let epoch = Arc::clone(&inner.epoch);
-    let cond_inner = Arc::clone(&inner);
-    let cond = move || {
-        let ready = cond_inner.registry.all_at_least(Phase::InProgress, v);
-        if !ready && metrics_on {
-            if let Some((_, guid)) = cond_inner.registry.first_blocker(Phase::InProgress, v) {
-                cond_inner.opts.metrics.checkpoints.note_blocker(guid);
-            }
-        }
-        ready
-    };
-    let action = move || inprog_to_waitflush(inner, v);
-    epoch.bump_epoch(Some(Box::new(cond)), Box::new(action));
+    fn tracing(&self) -> bool {
+        self.opts.metrics.is_enabled()
+    }
+    fn trace_blocker(&self, guid: SessionId) {
+        self.opts.metrics.checkpoints.note_blocker(guid);
+    }
+    fn trace_phase(&self, v: u64, phase: Phase) {
+        self.opts.metrics.checkpoints.mark(v, phase.name());
+    }
+    fn trace_end(&self, v: u64, committed: bool, out: &CommitOutcome) {
+        self.opts.metrics.checkpoints.end(
+            v,
+            committed,
+            out.attempts as u64,
+            out.proxy_advanced.len() as u64,
+            out.evicted.len() as u64,
+        );
+    }
 }
 
-fn inprog_to_waitflush<V: DbValue>(inner: Arc<DbInner<V>>, v: u64) {
-    if !inner
-        .state
-        .transition((Phase::InProgress, v), (Phase::WaitFlush, v))
-    {
-        return; // checkpoint aborted by the watchdog
+/// The watchdog's remedies: proxy-advance and eviction need nothing from
+/// the database (a session parked before its locks holds nothing), a
+/// retry restarts the state machine, and an abort returns it to rest —
+/// through the capture thread's failure path once capture owns the
+/// transition.
+impl<V: DbValue> Remedies for DbInner<V> {
+    const GATED: &'static [Phase] = &[Phase::Prepare, Phase::InProgress];
+    type Attempt = ();
+
+    fn retry(self: &Arc<Self>, _: ()) -> bool {
+        start_commit(self)
     }
-    if inner.opts.metrics.is_enabled() {
-        inner.opts.metrics.checkpoints.mark(v, "wait-flush");
-    }
-    if let Some(tx) = inner.capture_tx.lock().as_ref() {
-        tx.send(v).expect("capture thread alive");
+
+    fn abort(&self, phase: Phase, v: u64) -> Option<()> {
+        let aborted = match phase {
+            Phase::Prepare | Phase::InProgress => {
+                self.core.state.transition((phase, v), (Phase::Rest, v + 1))
+            }
+            // The capture thread owns the WaitFlush → Rest transition:
+            // request an abort and let its failure path complete it.
+            // `swap` keeps a still-pending request from counting twice.
+            Phase::WaitFlush => !self.capture_abort.swap(true, Ordering::AcqRel),
+            _ => false,
+        };
+        aborted.then_some(())
     }
 }
 
@@ -966,20 +779,4 @@ fn wal_generations(dir: &std::path::Path) -> io::Result<Vec<u64>> {
 
 fn next_wal_generation(dir: &std::path::Path) -> io::Result<u64> {
     Ok(wal_generations(dir)?.last().map_or(0, |g| g + 1))
-}
-
-impl<V: DbValue> Drop for DbInner<V> {
-    fn drop(&mut self) {
-        // Close the capture channel, then join the workers.
-        self.capture_tx.lock().take();
-        for slot in [&self.capture_thread, &self.watchdog_thread] {
-            if let Some(h) = slot.lock().take() {
-                // The final Arc may be dropped *by a worker itself* (each
-                // upgrades its Weak per job); never join our own thread.
-                if h.thread().id() != std::thread::current().id() {
-                    let _ = h.join();
-                }
-            }
-        }
-    }
 }

@@ -52,7 +52,6 @@ mod stats;
 mod table;
 mod value;
 mod wal;
-mod watchdog;
 
 pub use calc::CommitLog;
 pub use client::{Access, Session, TxnRequest};
@@ -60,7 +59,7 @@ pub use cpr_core::liveness::{
     Clock, CommitOutcome, LivenessConfig, SessionStatus, SystemClock, VirtualClock,
 };
 pub use cpr_core::{CheckpointVersion, NoWaitLock, SessionInfo};
-pub use db::{Durability, MemDb, MemDbBuilder, MemDbOptions};
+pub use db::{Durability, MemDb, MemDbBuilder};
 pub use error::{Abort, CommitError, RecoveryError};
 pub use record::Record;
 pub use stats::ClientStats;

@@ -21,9 +21,8 @@
 //! matches the paper's setting: data is pre-loaded, and the only runtime
 //! inserts come from TPC-C order/order-line rows.
 //!
-//! Scans come in two orders. [`Table::for_each_in_slots`] walks slot ids
-//! in memory order, the order checkpoints use. [`Table::for_each`] and
-//! [`Table::for_each_in_buckets`] walk the index, bucket by bucket.
+//! Scans walk slot ids in memory order ([`Table::for_each_in_slots`]),
+//! the order checkpoints use.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -365,31 +364,6 @@ impl<V: Pod> Table<V> {
         self.len() == 0
     }
 
-    /// Visit every (key, record) in index order.
-    pub fn for_each(&self, f: impl FnMut(u64, &Record<V>)) {
-        self.for_each_in_buckets(0..self.buckets.len(), f);
-    }
-
-    /// Number of buckets — the shard boundaries for partitioned index
-    /// walks (see [`Table::for_each_in_buckets`]).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Visit every (key, record) chained off the buckets in `range`.
-    /// Disjoint ranges visit disjoint records; concatenating the ranges
-    /// `0..k`, `k..n` visits in exactly the [`Table::for_each`] order.
-    pub fn for_each_in_buckets(&self, range: Range<usize>, mut f: impl FnMut(u64, &Record<V>)) {
-        for b in self.buckets[range].iter() {
-            let mut cur = b.load(Ordering::Acquire);
-            while cur != NIL {
-                let (rec, link) = self.entry(cur as usize - 1);
-                f(link.key.load(Ordering::Relaxed), rec);
-                cur = link.next.load(Ordering::Acquire) & !LINKED;
-            }
-        }
-    }
-
     /// Number of slots claimed so far: slot scans cover sub-ranges of
     /// `0..slot_count()` (see [`Table::for_each_in_slots`]).
     pub(crate) fn slot_count(&self) -> usize {
@@ -479,37 +453,6 @@ mod tests {
         assert_eq!(t.len(), 1000);
         for k in 0..1000u64 {
             assert!(t.get(k).is_some(), "missing key {k}");
-        }
-    }
-
-    #[test]
-    fn for_each_visits_everything_once() {
-        let t: Table<u64> = Table::new(4);
-        for k in 0..100u64 {
-            t.insert(k, 1, k * 2);
-        }
-        let mut seen = std::collections::HashSet::new();
-        t.for_each(|k, _| {
-            assert!(seen.insert(k));
-        });
-        assert_eq!(seen.len(), 100);
-    }
-
-    #[test]
-    fn sharded_iteration_matches_for_each_order() {
-        let t: Table<u64> = Table::new(8);
-        for k in 0..200u64 {
-            t.insert(k, 1, k);
-        }
-        let mut whole = Vec::new();
-        t.for_each(|k, _| whole.push(k));
-        let n = t.bucket_count();
-        for shards in [1usize, 3, 8] {
-            let mut pieced = Vec::new();
-            for w in 0..shards {
-                t.for_each_in_buckets(n * w / shards..n * (w + 1) / shards, |k, _| pieced.push(k));
-            }
-            assert_eq!(pieced, whole, "{shards} shards");
         }
     }
 

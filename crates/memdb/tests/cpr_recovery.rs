@@ -659,3 +659,50 @@ fn retention_keeps_exactly_what_recovery_reads() {
         assert_eq!(db.read(k), Some(k.min(6)), "key {k}");
     }
 }
+
+/// Commit observers run before the version is published: once
+/// `committed_version() >= v`, every observer has already seen `v`, even
+/// one that takes its time.
+#[test]
+fn commit_observers_see_the_version_before_it_is_published() {
+    use std::sync::atomic::AtomicU64;
+
+    let dir = tempfile::tempdir().unwrap();
+    let db: MemDb<u64> = MemDb::builder(Durability::Cpr)
+        .dir(dir.path())
+        .capacity(64)
+        .open()
+        .unwrap();
+    let seen_version = Arc::new(AtomicU64::new(0));
+    let seen_point = Arc::new(AtomicU64::new(u64::MAX));
+    let (sv, sp) = (seen_version.clone(), seen_point.clone());
+    db.on_commit(move |version, points| {
+        std::thread::sleep(Duration::from_millis(50));
+        if let Some(p) = points.iter().find(|p| p.guid == 11) {
+            sp.store(p.cpr_point, Ordering::SeqCst);
+        }
+        sv.store(version, Ordering::SeqCst);
+    });
+
+    let mut s = db.session(11);
+    let mut reads = Vec::new();
+    let mut run = |s: &mut cpr_memdb::Session<u64>, n: u64| {
+        for k in 0..n {
+            let accesses = [(k, Access::Write)];
+            let txn = cpr_memdb::TxnRequest {
+                accesses: &accesses,
+                write_seeds: &[k],
+            };
+            while s.execute(&txn, &mut reads).is_err() {}
+        }
+    };
+    for (v, ops, point) in [(1u64, 25u64, 25u64), (2, 10, 35)] {
+        run(&mut s, ops);
+        assert!(db.request_commit());
+        while db.committed_version() < v {
+            s.refresh();
+        }
+        assert_eq!(seen_version.load(Ordering::SeqCst), v);
+        assert_eq!(seen_point.load(Ordering::SeqCst), point);
+    }
+}

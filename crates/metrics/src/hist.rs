@@ -109,36 +109,41 @@ impl LatencyHistogram {
             .sum()
     }
 
-    /// Merge all shards into a [`HistogramSnapshot`].
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut merged = [0u64; BUCKETS];
+    /// All shards' buckets merged, and the largest sample.
+    fn merged(&self) -> Merged {
+        let mut buckets = [0u64; BUCKETS];
         let mut max = 0u64;
         for s in self.shards.iter() {
-            for (m, b) in merged.iter_mut().zip(s.buckets.iter()) {
+            for (m, b) in buckets.iter_mut().zip(s.buckets.iter()) {
                 *m += b.load(Ordering::Relaxed);
             }
             max = max.max(s.max.load(Ordering::Relaxed));
         }
-        let count: u64 = merged.iter().sum();
-        let quantile = |q: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = ((count as f64) * q).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (b, &n) in merged.iter().enumerate() {
-                seen += n;
-                if seen >= rank {
-                    return bucket_value(b).min(max);
-                }
-            }
-            max
-        };
+        Merged {
+            count: buckets.iter().sum(),
+            buckets,
+            max,
+        }
+    }
+
+    /// The `q`-quantile (`0 ≤ q ≤ 1`) in nanoseconds: a bucket upper
+    /// bound (≤ ~19% relative error), clamped to the observed max; 0 when
+    /// empty.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        self.merged().quantile(q)
+    }
+
+    /// Merge all shards into a [`HistogramSnapshot`].
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let merged = self.merged();
+        let (count, max) = (merged.count, merged.max);
+        let quantile = |q: f64| merged.quantile(q);
         // Approximate mean from bucket upper bounds (≤ ~19% high).
         let mean = if count == 0 {
             0.0
         } else {
             merged
+                .buckets
                 .iter()
                 .enumerate()
                 .map(|(b, &n)| (bucket_value(b).min(max) as f64) * n as f64)
@@ -154,6 +159,30 @@ impl LatencyHistogram {
             p999_ns: quantile(0.999),
             max_ns: max,
         }
+    }
+}
+
+/// A merged view of every shard.
+struct Merged {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    max: u64,
+}
+
+impl Merged {
+    fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((self.count as f64) * q).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (b, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return bucket_value(b).min(self.max);
+            }
+        }
+        self.max
     }
 }
 
@@ -208,6 +237,31 @@ mod tests {
         assert!(s.p99_ns >= 990_000, "{}", s.p99_ns);
         assert_eq!(s.max_ns, 1_000_000);
         assert!(s.p999_ns <= s.max_ns);
+    }
+
+    #[test]
+    fn quantile_ns_agrees_with_the_snapshot_and_is_monotone() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.quantile_ns(0.5), 0, "empty");
+        for v in [0u64, 1, 2, 3] {
+            h.record_ns(v);
+        }
+        assert_eq!(h.quantile_ns(0.25), 0, "exact for tiny values");
+        assert_eq!(h.quantile_ns(1.0), 3);
+        let mut x = 1u64;
+        for _ in 0..1000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            h.record_ns(x % 10_000_000);
+        }
+        let s = h.snapshot();
+        assert_eq!(h.quantile_ns(0.5), s.p50_ns);
+        assert_eq!(h.quantile_ns(0.99), s.p99_ns);
+        let mut last = 0;
+        for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
+            let v = h.quantile_ns(q);
+            assert!(v >= last, "quantile regressed at {q}");
+            last = v;
+        }
     }
 
     #[test]
