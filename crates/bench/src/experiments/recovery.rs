@@ -207,7 +207,7 @@ fn run_one(t: usize, log_mb: u64, write_lat: Duration, read_lat: Duration) -> Ru
 
     let index_digest = kv2.index_digest();
     drop(kv2);
-    let log_digest = file_digest(&dir.path().join("log.dat"), log_bytes);
+    let log_digest = file_digest(&dir.path().join("log.dat"), hlog.page_bits, log_bytes);
 
     RunResult {
         threads: t,
@@ -243,24 +243,23 @@ fn phase_seconds(metrics: &Registry, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// FNV-1a over the first `len` bytes of `path`, read in 1 MiB chunks.
-fn file_digest(path: &std::path::Path, len: u64) -> u64 {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).expect("open log for digest");
-    let mut remaining = len;
+/// FNV-1a over the first `len` bytes of the segmented log at `path`,
+/// read in 1 MiB chunks (past the durable watermark it reads zeroes).
+fn file_digest(path: &std::path::Path, page_bits: u32, len: u64) -> u64 {
+    use cpr_storage::{Device, FileDevice};
+    let bits = cpr_faster::hlog::segment_bits(page_bits);
+    let dev = FileDevice::open_segmented(path, bits, 1, IoProfile::NONE).expect("open log");
     let mut buf = vec![0u8; 1 << 20];
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    while remaining > 0 {
-        let want = (remaining as usize).min(buf.len());
-        let n = f.read(&mut buf[..want]).expect("read log for digest");
-        if n == 0 {
-            break; // log file may be sparse past the durable watermark
-        }
+    let mut at = 0;
+    while at < len {
+        let n = ((len - at) as usize).min(buf.len());
+        dev.read_at(at, &mut buf[..n]).expect("read log for digest");
         for &b in &buf[..n] {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        remaining -= n as u64;
+        at += n as u64;
     }
     h
 }

@@ -108,6 +108,9 @@ pub struct CommitCore {
     observers: Mutex<Vec<CommitCallback>>,
     /// Queue of the flush worker (see [`CommitCore::start_flush_worker`]).
     flush_tx: Mutex<Option<mpsc::Sender<u64>>>,
+    /// Wake-ups of the background worker (see
+    /// [`CommitCore::start_background_worker`]).
+    background_tx: Mutex<Option<mpsc::SyncSender<()>>>,
     /// Background threads, joined on drop.
     pub(crate) threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -138,6 +141,7 @@ impl CommitCore {
             checkpoint_failures: AtomicU64::new(0),
             observers: Mutex::new(Vec::new()),
             flush_tx: Mutex::new(None),
+            background_tx: Mutex::new(None),
             threads: Mutex::new(Vec::new()),
         }
     }
@@ -161,6 +165,34 @@ impl CommitCore {
         let core = engine.core();
         *core.flush_tx.lock() = Some(tx);
         core.threads.lock().push(handle);
+    }
+
+    /// Start the engine's background worker thread: it runs
+    /// `work(engine)` after each [`CommitCore::wake_background`]. Wake-ups
+    /// that arrive while it works coalesce into one more run. Like the
+    /// flush worker it holds only a `Weak` reference.
+    pub fn start_background_worker<E: CprEngine>(engine: &Arc<E>, name: &str, work: fn(&Arc<E>)) {
+        let (tx, rx) = mpsc::sync_channel::<()>(1);
+        let weak = Arc::downgrade(engine);
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                for () in rx {
+                    let Some(engine) = weak.upgrade() else { break };
+                    work(&engine);
+                }
+            })
+            .expect("spawn background worker");
+        let core = engine.core();
+        *core.background_tx.lock() = Some(tx);
+        core.threads.lock().push(handle);
+    }
+
+    /// Ask the background worker for one more run (no-op without one).
+    pub fn wake_background(&self) {
+        if let Some(tx) = self.background_tx.lock().as_ref() {
+            let _ = tx.try_send(());
+        }
     }
 
     /// Hand the wait-flush work of version `v` to the flush worker.
@@ -326,6 +358,7 @@ impl Drop for CommitCore {
         // be dropped *by a worker itself* (each upgrades its Weak per
         // job); never join our own thread.
         self.flush_tx.get_mut().take();
+        self.background_tx.get_mut().take();
         for h in self.threads.get_mut().drain(..) {
             if h.thread().id() != std::thread::current().id() {
                 let _ = h.join();

@@ -43,7 +43,7 @@ pub use manifest::{CheckpointKind, CheckpointManifest, SessionCpr};
 pub use participant::{Entry, Participant, Refreshed};
 pub use phase::Phase;
 pub use resume::{CommitPoint, DetachedSessions};
-pub use sessions::{SessionId, SessionInfo, SessionRegistry, SessionSlot};
+pub use sessions::{SessionId, SessionInfo, SessionRegistry, SessionSlot, INTERNAL_SESSION};
 pub use state::SystemState;
 pub use sync::NoWaitLock;
 pub use value::{pod_read, pod_size, pod_write, Pod};

@@ -53,6 +53,10 @@ pub struct CheckpointManifest {
     /// Snapshot commits: first address covered by the snapshot file (the
     /// main log file covers everything below it).
     pub snapshot_start: Option<u64>,
+    /// FASTER log commits: the HybridLog begin address. Nothing below it
+    /// is needed to recover this commit (the log there may be gone);
+    /// absent in manifests written before the log could be truncated.
+    pub begin_address: Option<u64>,
     /// Per-session CPR points.
     pub sessions: Vec<SessionCpr>,
     /// Number of records captured (database checkpoints).
@@ -73,6 +77,7 @@ impl CheckpointManifest {
             index_begin: None,
             index_end: None,
             snapshot_start: None,
+            begin_address: None,
             sessions: Vec::new(),
             records: None,
             base: None,

@@ -240,7 +240,9 @@ impl Participant {
     /// cancelled everything after it, so the pre-eviction serial must
     /// never be reported.
     pub fn detach(&self, core: &CommitCore) {
-        if self.evicted || core.registry.is_evicted(self.slot) {
+        if self.guid == crate::INTERNAL_SESSION {
+            // Nothing to resume and no commit point to report.
+        } else if self.evicted || core.registry.is_evicted(self.slot) {
             let point = core.registry.cpr_point(self.slot);
             core.detached.record_evicted(self.guid, self.version, point);
         } else {
@@ -343,5 +345,19 @@ mod tests {
         assert_eq!(core.detached.points_for(1), vec![(9, 2)]);
         assert_eq!(core.detached.points_for(2), vec![(9, 5)]);
         assert_eq!(core.resume_serial(9), 5);
+    }
+
+    #[test]
+    fn internal_sessions_report_no_points() {
+        let (core, epoch) = setup();
+        let p = Participant::attach(&core, &epoch, crate::INTERNAL_SESSION, 0, None);
+        let q = Participant::attach(&core, &epoch, 4, 0, None);
+        let guids = |v| -> Vec<u64> { core.session_points(v).iter().map(|s| s.guid).collect() };
+        assert_eq!(guids(1), vec![4]);
+        p.detach(&core);
+        q.detach(&core);
+        assert_eq!(guids(1), vec![4]);
+        assert_eq!(core.resume_serial(crate::INTERNAL_SESSION), 0);
+        assert_eq!(core.registry.active(), 0);
     }
 }

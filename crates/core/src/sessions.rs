@@ -19,6 +19,11 @@ use crate::Phase;
 /// Session identifier — the paper's session `Guid`.
 pub type SessionId = u64;
 
+/// The guid of an engine's own sessions (FASTER's log compactor): they
+/// take part in the protocol like any session but issue no client
+/// operations, so they report no CPR point and leave none behind.
+pub const INTERNAL_SESSION: SessionId = u64::MAX - 1;
+
 /// A session's unified public view, shared by both engines (replaces the
 /// ad-hoc `view() -> (Phase, u64)` tuples).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,7 +423,8 @@ impl SessionRegistry {
             .iter()
             .filter_map(|s| {
                 let owner = s.owner.load(Ordering::Acquire);
-                (owner != 0).then(|| (owner - 1, s.cpr_point.load(Ordering::Acquire)))
+                (owner != 0 && owner - 1 != INTERNAL_SESSION)
+                    .then(|| (owner - 1, s.cpr_point.load(Ordering::Acquire)))
             })
             .collect()
     }

@@ -7,7 +7,9 @@
 //!
 //! After a commit is published, the checkpoints it superseded are
 //! deleted (see `drop_superseded`), so the checkpoint directory holds
-//! what recovery can use, not one directory per commit ever made.
+//! what recovery can use, not one directory per commit ever made. Every
+//! manifest carries the log's begin address; a commit that publishes a
+//! compaction pass's new begin truncates the log once it is durable.
 
 use std::io;
 use std::sync::Arc;
@@ -33,17 +35,35 @@ pub(crate) fn run_wait_flush<V: Pod>(inner: &Arc<StoreInner<V>>, v: u64) {
     let mut marks = ctx.phase_marks.clone();
 
     let committed = try_wait_flush(inner, v, ctx);
-    if committed.is_none() {
+    match &committed {
+        Some(m) => {
+            inner
+                .compactor
+                .committed(v, m.log_end.expect("log commit has log_end"));
+            let begin = m.begin_address.expect("log commit has begin_address");
+            if begin > inner.hlog.begin_address() {
+                // Durable now: the begin moves before the commit is
+                // reported.
+                inner.hlog.truncate(begin);
+                inner.compactor.published(begin);
+            }
+        }
         // Failed attempt: remove the partial checkpoint (no-op if the
         // fault was a simulated crash — the torn state must survive for
         // recovery).
-        let _ = inner.store.abort(token);
+        None => {
+            let _ = inner.store.abort(token);
+        }
     }
     marks.push((Phase::Rest, started.elapsed()));
     *inner.last_phase_marks.lock() = marks;
     finish_flush(&**inner, v, committed.as_ref());
     if let Some(manifest) = committed {
+        // Off the commit's path: unlinking a segment takes milliseconds.
+        // A failed unlink is retried by the next commit (or recovery).
+        let _ = inner.hlog.unlink_below_begin();
         drop_superseded(inner, &manifest);
+        inner.core.wake_background();
     }
 }
 
@@ -84,8 +104,7 @@ fn try_wait_flush<V: Pod>(
     let (mut lis, mut lie) = (None, None);
     if !ctx.log_only {
         lis = Some(hl.tail());
-        let dump = inner.index.dump();
-        inner.store.write_file(ctx.token, "index.dat", &dump).ok()?;
+        write_index(inner, ctx.token).ok()?;
         lie = Some(hl.tail());
     }
 
@@ -133,6 +152,13 @@ fn try_wait_flush<V: Pod>(
     manifest.index_begin = lis;
     manifest.index_end = lie;
     manifest.snapshot_start = snapshot_start;
+    // A finished compaction pass's begin, if this commit began after it.
+    manifest.begin_address = Some(
+        inner
+            .compactor
+            .publishable(v)
+            .unwrap_or_else(|| hl.begin_address()),
+    );
     manifest.sessions = inner.core.session_points(v);
     inner.store.commit(&manifest).ok()?;
     Some(manifest)
@@ -145,8 +171,7 @@ pub(crate) fn index_checkpoint<V: Pod>(inner: &Arc<StoreInner<V>>) -> io::Result
     let token = inner.store.begin()?;
     let result = (|| {
         let lis = inner.hlog.tail();
-        let dump = inner.index.dump();
-        inner.store.write_file(token, "index.dat", &dump)?;
+        write_index(inner, token)?;
         let lie = inner.hlog.tail();
         let mut manifest =
             CheckpointManifest::new(token, CheckpointKind::Index, inner.core.state.version());
@@ -160,4 +185,12 @@ pub(crate) fn index_checkpoint<V: Pod>(inner: &Arc<StoreInner<V>>) -> io::Result
         inner.core.note_failure();
     }
     result
+}
+
+/// Dump the index into the store's reused buffer and write it as
+/// `index.dat` of checkpoint `token`.
+fn write_index<V: Pod>(inner: &StoreInner<V>, token: u64) -> io::Result<()> {
+    let mut buf = inner.index_buf.lock();
+    inner.index.dump_into(&mut buf);
+    inner.store.write_file(token, "index.dat", &buf)
 }

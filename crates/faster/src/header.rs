@@ -8,8 +8,17 @@
 //!   bits 48..60   13-bit version number v
 //!   bit  61       invalid
 //!   bit  62       tombstone
-//!   bit  63       spare (always 0)
+//!   bit  63       superseded (see below)
 //! ```
+//!
+//! The *superseded* bit is a hint for log compaction: an operation that
+//! links a newer record of the same key over a record in memory sets it
+//! on the older one (`HybridLog::mark_superseded`), so a compaction pass
+//! can tell that record dead without an index lookup. Only a set bit
+//! carries information, and only in the run that set it: `Header` does
+//! not decode it, any header rewrite clears it (which only costs a
+//! lookup), and a recovered log may hold bits whose newer records were
+//! rolled back, so compaction ignores them below the recovered tail.
 //!
 //! The 13-bit version stores `v mod 8192`; comparisons against the current
 //! checkpoint version use the same truncation. A wrap cannot be confused
@@ -23,6 +32,9 @@ pub const VERSION_MASK: u64 = (1 << VERSION_BITS) - 1;
 const VERSION_SHIFT: u32 = 48;
 const INVALID_BIT: u64 = 1 << 61;
 const TOMBSTONE_BIT: u64 = 1 << 62;
+/// Set on a record once a newer record of its key is linked (see the
+/// module docs).
+pub const SUPERSEDED_BIT: u64 = 1 << 63;
 
 /// Truncate a full version to its 13-bit header representation.
 #[inline]

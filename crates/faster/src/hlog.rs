@@ -16,6 +16,15 @@
 //! bump so that no thread can be acting on a stale offset when pages are
 //! flushed or frames reused (the lost-update protection of Sec. 5.1).
 //!
+//! Below all of them sits the *begin* address: everything under it is
+//! gone. It moves only when a compaction pass has copied every live
+//! record below it to the tail and a commit has made that durable
+//! (`compact.rs`); [`HybridLog::truncate`] and
+//! [`HybridLog::unlink_below_begin`] then give the space back: the frames
+//! of pages wholly below it to the OS, one epoch drain later, and whole
+//! segment files on the device. `head` is never moved for
+//! this: a store whose log fits in memory keeps `head <= begin`.
+//!
 //! Frames hold pages as `AtomicU64` words: record fields are word-aligned,
 //! so in-place updates and concurrent reads are tear-free at word
 //! granularity without locks.
@@ -94,6 +103,72 @@ fn zero_frame(frame: &[AtomicU64]) {
     }
 }
 
+/// log2 of the pages per device segment: a segment is four pages, so
+/// truncation gives space back in units small against a bounded log and
+/// records (which never straddle pages) never straddle segments.
+pub const SEGMENT_PAGES_LOG2: u32 = 2;
+
+/// log2 of the log device's segment size for pages of `2^page_bits`
+/// bytes.
+pub fn segment_bits(page_bits: u32) -> u32 {
+    page_bits + SEGMENT_PAGES_LOG2
+}
+
+/// A page-table cell held by a frame being released (see
+/// [`HybridLog::truncate`]); `claim_page` waits it out.
+const RELEASING: u64 = u64::MAX;
+
+#[cfg(target_os = "linux")]
+mod os {
+    use std::ffi::c_void;
+
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_DONTNEED: i32 = 4;
+    /// The smallest page size Linux uses; a larger OS page makes
+    /// `madvise` fail and the caller falls back to zeroing.
+    pub const PAGE: usize = 4096;
+
+    /// Hand the pages of `[ptr, ptr + len)` back to the OS. Returns
+    /// false if the kernel refused (the memory is then unchanged).
+    ///
+    /// # Safety
+    /// `[ptr, ptr + len)` must be `PAGE`-aligned memory of one private
+    /// anonymous allocation that no thread reads or writes during the
+    /// call. Afterwards it stays mapped and reads as zeroes.
+    pub unsafe fn release(ptr: *mut u8, len: usize) -> bool {
+        // SAFETY: forwarded from the caller.
+        unsafe { madvise(ptr.cast(), len, MADV_DONTNEED) == 0 }
+    }
+}
+
+/// Return a frame's memory to the OS, leaving it all zero. The caller
+/// guarantees no thread touches the frame meanwhile.
+fn release_frame(frame: &[AtomicU64]) {
+    #[cfg(target_os = "linux")]
+    {
+        let start = frame.as_ptr() as usize;
+        let end = start + std::mem::size_of_val(frame);
+        let lo = start.next_multiple_of(os::PAGE);
+        let hi = end / os::PAGE * os::PAGE;
+        if lo < hi {
+            // SAFETY: `[lo, hi)` is page-aligned and inside the frame, a
+            // part of the arena — one zeroed heap allocation, which is
+            // private anonymous memory — and the caller guarantees that
+            // no thread reads or writes the frame meanwhile. The words
+            // are `AtomicU64`, for which zero is a valid value.
+            if unsafe { os::release(lo as *mut u8, hi - lo) } {
+                let word = |addr: usize| (addr - start) / 8;
+                zero_frame(&frame[..word(lo)]);
+                zero_frame(&frame[word(hi)..]);
+                return;
+            }
+        }
+    }
+    zero_frame(frame);
+}
+
 /// The log-structured record store. See module docs.
 ///
 /// ## Tail representation
@@ -116,6 +191,10 @@ pub struct HybridLog {
     page_table: Box<[AtomicU64]>,
     /// Packed `(page << 32) | offset` tail.
     tail_po: CachePadded<AtomicU64>,
+    /// Lowest live address; everything below it is gone.
+    begin: CachePadded<AtomicU64>,
+    /// Device segments below this address are unlinked.
+    unlinked: Mutex<Address>,
     read_only: CachePadded<AtomicU64>,
     safe_read_only: CachePadded<AtomicU64>,
     head: CachePadded<AtomicU64>,
@@ -167,6 +246,8 @@ impl HybridLog {
             words_per_page,
             page_table,
             tail_po: CachePadded::new(AtomicU64::new(begin)), // page 0, offset = begin
+            begin: CachePadded::new(AtomicU64::new(begin)),
+            unlinked: Mutex::new(0),
             read_only: CachePadded::new(AtomicU64::new(0)),
             safe_read_only: CachePadded::new(AtomicU64::new(0)),
             head: CachePadded::new(AtomicU64::new(0)),
@@ -182,9 +263,15 @@ impl HybridLog {
         })
     }
 
-    /// First valid record address.
+    /// First address that may hold a live record: chain walks and scans
+    /// stop below it.
     pub fn begin_address(&self) -> Address {
-        self.rec.record_size() as u64
+        self.begin.load(Ordering::Acquire)
+    }
+
+    /// log2 of the device segment size (see [`segment_bits`]).
+    pub fn segment_bits(&self) -> u32 {
+        segment_bits(self.cfg.page_bits)
     }
 
     /// Logical tail: every record below this address is allocated.
@@ -343,18 +430,32 @@ impl HybridLog {
         // the device and below the safe head.
         let cell = self.page_cell(page);
         let mut spins = 0u64;
-        let held = loop {
+        loop {
             let cur = cell.load(Ordering::Acquire);
-            if cur == 0 {
-                break false;
-            }
-            let prev_page = cur - 1;
-            debug_assert!(prev_page < page);
-            let prev_end = self.layout.page_start(prev_page + 1);
-            if self.safe_head.load(Ordering::Acquire) >= prev_end
-                && self.flushed_durable() >= prev_end
-            {
-                break true;
+            let evictable = match cur {
+                0 => true,
+                // Being handed back to the OS; it ends up empty.
+                RELEASING => false,
+                _ => {
+                    debug_assert!(cur - 1 < page);
+                    let prev_end = self.layout.page_start(cur);
+                    self.safe_head.load(Ordering::Acquire) >= prev_end
+                        && self.flushed_durable() >= prev_end
+                }
+            };
+            if evictable {
+                if cur != 0 {
+                    zero_frame(self.frame_of(page));
+                }
+                // A release (`release_frames_below`) may have taken the
+                // frame meanwhile; then wait for it to finish.
+                if cell
+                    .compare_exchange(cur, page + 1, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    return;
+                }
+                continue;
             }
             spins += 1;
             if spins.is_multiple_of(16) {
@@ -365,11 +466,7 @@ impl HybridLog {
             } else {
                 std::hint::spin_loop();
             }
-        };
-        if held {
-            zero_frame(self.frame_of(page));
         }
-        cell.store(page + 1, Ordering::Release);
     }
 
     /// Obtain an owning handle to ourselves for epoch trigger actions.
@@ -538,36 +635,111 @@ impl HybridLog {
     /// whose source region may be flushed+evicted mid-copy. Device read
     /// errors (e.g. injected faults) propagate so the caller can abort.
     pub fn read_range(&self, start: Address, end: Address) -> io::Result<Vec<u8>> {
-        assert!(start <= end);
-        let mut out = Vec::with_capacity((end - start) as usize);
+        let mut out = vec![0u8; (end - start) as usize];
+        self.read_range_into(start, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read_range`] of `[start, start + out.len())` into `out`.
+    fn read_range_into(&self, start: Address, out: &mut [u8]) -> io::Result<()> {
+        let end = start + out.len() as u64;
         let mut addr = start;
         while addr < end {
             let page = self.layout.page(addr);
             let page_end = self.layout.page_start(page + 1).min(end);
-            let len = (page_end - addr) as usize;
-            let mut chunk = Vec::with_capacity(len);
-            let from_frame = self.resident(page) && {
-                let frame = self.frame_of(page);
-                let w0 = (self.layout.offset(addr) / 8) as usize;
-                let w1 = ((self.layout.offset(page_end - 1) / 8) + 1) as usize;
-                for w in &frame[w0..w1] {
-                    chunk.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
-                }
-                // Re-check: if the frame was reclaimed mid-copy the bytes
-                // may be torn — fall back to the device (valid because
-                // eviction requires the flush to have completed).
-                self.resident(page)
-            };
-            if !from_frame {
-                chunk.clear();
-                chunk.resize(len, 0);
-                self.device.read_at(addr, &mut chunk)?;
+            let dst = &mut out[(addr - start) as usize..(page_end - start) as usize];
+            if !self.copy_resident(addr, dst) {
+                self.device.read_at(addr, dst)?;
             }
-            chunk.truncate(len);
-            out.extend_from_slice(&chunk);
             addr = page_end;
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Copy the bytes at `addr` (within one page) into `dst` from the
+    /// page's frame. False if the page is not resident, or stopped being
+    /// resident mid-copy (the bytes may be torn; the page is flushed, so
+    /// the device has them).
+    fn copy_resident(&self, addr: Address, dst: &mut [u8]) -> bool {
+        let page = self.layout.page(addr);
+        if !self.resident(page) {
+            return false;
+        }
+        let frame = self.frame_of(page);
+        let w0 = (self.layout.offset(addr) / 8) as usize;
+        for (w, d) in frame[w0..].iter().zip(dst.chunks_mut(8)) {
+            d.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes()[..d.len()]);
+        }
+        self.resident(page)
+    }
+
+    /// Read `[start, end)` of the log wherever it lives into `out`,
+    /// replacing its contents (a caller reading page after page reuses
+    /// one buffer): below `head` from the device (after
+    /// [`Self::restore_at`] that is the only copy of the recovered prefix,
+    /// even on the tail page), at or above it from the frames, falling
+    /// back to the device for pages evicted meanwhile (see
+    /// [`Self::read_range`]).
+    pub fn read_log_into(&self, start: Address, end: Address, out: &mut Vec<u8>) -> io::Result<()> {
+        assert!(start <= end);
+        out.clear();
+        out.resize((end - start) as usize, 0);
+        let head = self.head().clamp(start, end);
+        let (below, above) = out.split_at_mut((head - start) as usize);
+        self.device.read_at(start, below)?;
+        self.read_range_into(head, above)
+    }
+
+    /// Move the begin address up to `new_begin` and give back what lies
+    /// below it: after an epoch drain the frames of pages wholly below it
+    /// (here), and the device segments wholly below it
+    /// ([`Self::unlink_below_begin`], which this does not call: an unlink
+    /// can take milliseconds, so a commit does it after it is reported).
+    /// The caller guarantees that nothing below `new_begin` is needed any
+    /// more, in memory or after a crash (a durable manifest says so).
+    pub fn truncate(&self, new_begin: Address) {
+        let old = self.begin.fetch_max(new_begin, Ordering::AcqRel);
+        if old < new_begin {
+            let this = self.self_arc();
+            self.epoch
+                .bump_epoch(None, Box::new(move || this.release_frames_below(new_begin)));
+        }
+    }
+
+    /// Unlink the device segments wholly below the begin address, one
+    /// [`Device::truncate_below`] call per segment from the lowest. A
+    /// device error stops the unlinking; the next call resumes it.
+    pub fn unlink_below_begin(&self) -> io::Result<()> {
+        let bits = self.segment_bits();
+        let mut unlinked = self.unlinked.lock();
+        while *unlinked >> bits < self.begin_address() >> bits {
+            let next = ((*unlinked >> bits) + 1) << bits;
+            self.device.truncate_below(next)?;
+            *unlinked = next;
+        }
+        Ok(())
+    }
+
+    /// Release every frame whose page lies wholly below `begin`. Runs as
+    /// an epoch action, so no thread can still be reading those pages:
+    /// every chain walk and scan stops below the begin address it loads.
+    fn release_frames_below(&self, begin: Address) {
+        let frames = self.frames.chunks_exact(self.words_per_page);
+        for (frame, cell) in frames.zip(self.page_table.iter()) {
+            let cur = cell.load(Ordering::Acquire);
+            if cur == 0 || cur == RELEASING || self.layout.page_start(cur) > begin {
+                continue;
+            }
+            // `cur - 1` is the resident page; its end is `page_start(cur)`.
+            // The CAS fails if a claimant already took the frame over.
+            if cell
+                .compare_exchange(cur, RELEASING, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                release_frame(frame);
+                cell.store(0, Ordering::Release);
+            }
+        }
     }
 
     // ---- record accessors ------------------------------------------------
@@ -592,6 +764,20 @@ impl HybridLog {
     #[inline]
     pub fn set_header(&self, addr: Address, header: Header) {
         self.word(addr).store(header.pack(), Ordering::Release);
+    }
+
+    /// Mark the record at `addr` superseded: a newer record of its key
+    /// is linked (see `header.rs`). Skipped if `head` has passed it: the
+    /// caller may have refreshed its epoch since it found the record (a
+    /// page claim in [`Self::allocate`] does), so its frame may be
+    /// another page's by now. While `head` is still at or below it, the
+    /// frame cannot be reclaimed before the caller's next refresh.
+    #[inline]
+    pub fn mark_superseded(&self, addr: Address) {
+        if addr >= self.head() {
+            self.word(addr)
+                .fetch_or(crate::header::SUPERSEDED_BIT, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -625,9 +811,11 @@ impl HybridLog {
 
     // ---- recovery support -------------------------------------------------
 
-    /// Reset the log to resume appending at `tail` with everything below
-    /// it on the device (post-recovery state).
-    pub fn restore_at(&self, tail: Address) {
+    /// Reset the log to resume appending at `tail` with `[begin, tail)`
+    /// on the device (post-recovery state).
+    pub fn restore_at(&self, begin: Address, tail: Address) {
+        self.begin.store(begin, Ordering::Relaxed);
+        *self.unlinked.lock() = 0;
         let page = self.layout.page(tail);
         for (frame, cell) in self
             .frames
@@ -816,7 +1004,7 @@ mod tests {
             log.allocate(&g);
         }
         let rs = log.rec.record_size() as u64;
-        log.restore_at(100 * rs);
+        log.restore_at(rs, 100 * rs);
         assert_eq!(log.tail(), 100 * rs);
         assert_eq!(log.head(), 100 * rs);
         assert_eq!(log.flushed_durable(), 100 * rs);
@@ -866,7 +1054,7 @@ mod tests {
         let (log, _e, g) = wrapped_log(9);
         assert!(log.frames.iter().any(|w| w.load(Ordering::Relaxed) != 0));
         let tail = log.layout.page_start(40) + 3 * log.rec.record_size() as u64;
-        log.restore_at(tail);
+        log.restore_at(rs_of(&log), tail);
         let a = log.allocate(&g);
         log.write_record(a, Header::new(0, 1), 7, &[7]);
         let tail_frame = (log.layout.page(tail) as usize) & 3;
@@ -888,6 +1076,50 @@ mod tests {
             nonzero.iter().all(|&w| (a..a + rs).contains(&w)),
             "{nonzero:?}"
         );
+    }
+
+    fn rs_of(log: &HybridLog) -> u64 {
+        log.rec.record_size() as u64
+    }
+
+    #[test]
+    fn truncate_moves_begin_and_releases_frames_below_it() {
+        let (log, _e, g) = wrapped_log(3);
+        let psz = log.layout.page_size();
+        assert_eq!(log.begin_address(), rs_of(&log));
+        log.wait_flushed(log.layout.page_start(2)).unwrap();
+        // Pages 0 and 1 lie wholly below the new begin; page 2 does not.
+        let begin = log.layout.page_start(2) + psz / 2;
+        log.truncate(begin);
+        assert_eq!(log.begin_address(), begin);
+        g.refresh(); // drain the epoch: the release runs
+        for page in 0..2u64 {
+            assert_eq!(
+                log.page_cell(page).load(Ordering::Relaxed),
+                0,
+                "page {page}"
+            );
+            assert!(log
+                .frame_of(page)
+                .iter()
+                .all(|w| w.load(Ordering::Relaxed) == 0));
+        }
+        assert_eq!(log.page_cell(2).load(Ordering::Relaxed), 3, "page 2 stays");
+        assert!(log
+            .frame_of(2)
+            .iter()
+            .any(|w| w.load(Ordering::Relaxed) != 0));
+        // Begin never moves back, and the log keeps appending into the
+        // released frames once the tail wraps onto them.
+        log.truncate(rs_of(&log));
+        assert_eq!(log.begin_address(), begin);
+        let per_page = psz / rs_of(&log);
+        for i in 0..per_page * 4 {
+            let a = log.allocate(&g);
+            log.write_record(a, Header::new(0, 1), i, &[i]);
+            g.refresh();
+        }
+        assert!(log.layout.page(log.tail()) >= 6);
     }
 
     #[test]

@@ -25,6 +25,12 @@ const TAG_SHIFT: u32 = 48;
 const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
 const TENTATIVE_BIT: u64 = 1 << 62;
 
+/// First bytes of an index checkpoint ([`HashIndex::dump_into`]).
+const DUMP_MAGIC: [u8; 4] = *b"FIDX";
+/// Format 2: per-bucket occupancy masks. (Format 1 had no header and
+/// stored every word.)
+const DUMP_VERSION: u32 = 2;
+
 /// 64-byte hash bucket: 7 entries + 1 overflow pointer (index+1 into the
 /// overflow pool; 0 = none).
 #[repr(C, align(64))]
@@ -109,6 +115,7 @@ fn tag_of(hash: u64) -> u64 {
 
 /// A located index slot for some key hash. The caller reads the current
 /// address and CASes updates through this handle.
+#[derive(Clone, Copy)]
 pub struct Slot<'a> {
     cell: &'a AtomicU64,
     tag: u64,
@@ -314,23 +321,45 @@ impl HashIndex {
         }
     }
 
-    /// Fuzzy checkpoint: atomically read every word into a buffer
-    /// (paper Sec. 6.3). Layout: `[n_buckets u64][overflow_used u64]
-    /// [main words][overflow words]`.
+    /// Fuzzy checkpoint: atomically read every word into a new buffer
+    /// (paper Sec. 6.3); see [`HashIndex::dump_into`].
     pub fn dump(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.dump_into(&mut out);
+        out
+    }
+
+    /// Fuzzy checkpoint into `out`, replacing its contents (commits reuse
+    /// one buffer). Layout: `[DUMP_MAGIC][version u32][n_buckets u64]
+    /// [overflow_used u64]`, then per bucket, main buckets first, a
+    /// one-byte occupancy mask (bit `i` for entry `i`, bit 7 for the
+    /// overflow pointer) followed by only the non-zero words. Most
+    /// buckets of a sized index are partly empty, so this is about half
+    /// the size of a word-by-word image.
+    pub fn dump_into(&self, out: &mut Vec<u8>) {
         let used = self.overflow_used().len();
-        let mut out = Vec::with_capacity(16 + (self.bucket_count() + used) * 64);
+        out.clear();
+        out.extend_from_slice(&DUMP_MAGIC);
+        out.extend_from_slice(&DUMP_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.bucket_count() as u64).to_le_bytes());
         out.extend_from_slice(&(used as u64).to_le_bytes());
         let mut dump_bucket = |b: &Bucket| {
-            for cell in &b.entries {
+            let mut words = [0u64; BUCKET_WORDS];
+            for (w, cell) in words.iter_mut().zip(&b.entries) {
                 // Clear tentative bits: a tentative entry is an
                 // in-flight insert, logically absent.
-                let w = cell.load(Ordering::Acquire);
-                let w = if w & TENTATIVE_BIT != 0 { 0 } else { w };
+                let v = cell.load(Ordering::Acquire);
+                *w = if v & TENTATIVE_BIT != 0 { 0 } else { v };
+            }
+            words[ENTRIES_PER_BUCKET] = b.overflow.load(Ordering::Acquire);
+            let mask = words
+                .iter()
+                .enumerate()
+                .fold(0u8, |m, (i, &w)| m | (((w != 0) as u8) << i));
+            out.push(mask);
+            for w in words.iter().filter(|&&w| w != 0) {
                 out.extend_from_slice(&w.to_le_bytes());
             }
-            out.extend_from_slice(&b.overflow.load(Ordering::Acquire).to_le_bytes());
         };
         for b in self.main() {
             dump_bucket(b);
@@ -338,7 +367,6 @@ impl HashIndex {
         for b in &self.overflow()[..used] {
             dump_bucket(b);
         }
-        out
     }
 
     /// The overflow buckets handed out so far.
@@ -347,37 +375,59 @@ impl HashIndex {
         &pool[..self.overflow_next.load(Ordering::Acquire).min(pool.len())]
     }
 
-    /// Restore an index from a [`HashIndex::dump`] buffer.
+    /// Restore an index from a [`HashIndex::dump`] buffer. Anything else
+    /// (another format, a truncated or padded dump) is `InvalidData`.
     pub fn load(data: &[u8]) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let err = |m: &str| Error::new(ErrorKind::InvalidData, m.to_string());
-        if data.len() < 16 {
+        const HEADER: usize = DUMP_MAGIC.len() + 4 + 16;
+        if data.len() < HEADER {
             return Err(err("index dump truncated"));
         }
-        let n = u64::from_le_bytes(data[..8].try_into().unwrap()) as usize;
-        let used = u64::from_le_bytes(data[8..16].try_into().unwrap()) as usize;
+        let u64_at = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
+        if data[..DUMP_MAGIC.len()] != DUMP_MAGIC {
+            return Err(err("not an index dump (bad magic)"));
+        }
+        let at = DUMP_MAGIC.len();
+        let version = u32::from_le_bytes(data[at..at + 4].try_into().unwrap());
+        if version != DUMP_VERSION {
+            return Err(err("unsupported index dump version"));
+        }
+        let n = u64_at(at + 4) as usize;
+        let used = u64_at(at + 12) as usize;
         if !n.is_power_of_two() {
             return Err(err("bucket count not a power of two"));
         }
-        let expect = 16 + (n + used) * 64;
-        if data.len() < expect {
+        // Every bucket takes at least its mask byte.
+        if data.len() - HEADER < n.saturating_add(used) {
             return Err(err("index dump too short"));
         }
         let index = HashIndex::new(n);
         if used > index.overflow().len() {
             return Err(err("overflow pool too large for layout"));
         }
-        // The arena is zeroed: store only non-zero words, so empty
+        // The arena is zeroed: store only the present words, so empty
         // buckets stay untouched pages.
-        let words = data[16..expect].chunks_exact(8);
-        let cells = index.arena.buckets()[..n + used]
-            .iter()
-            .flat_map(|b| b.entries.iter().chain(std::iter::once(&b.overflow)));
-        for (cell, w) in cells.zip(words) {
-            let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
-            if w != 0 {
-                cell.store(w, Ordering::Relaxed);
+        let mut at = HEADER;
+        for b in &index.arena.buckets()[..n + used] {
+            let mask = *data.get(at).ok_or_else(|| err("index dump truncated"))?;
+            at += 1;
+            let present = mask.count_ones() as usize;
+            let words = data
+                .get(at..at + 8 * present)
+                .ok_or_else(|| err("index dump truncated"))?;
+            at += 8 * present;
+            let mut words = words.chunks_exact(8);
+            let cells = b.entries.iter().chain(std::iter::once(&b.overflow));
+            for (i, cell) in cells.enumerate() {
+                if mask & (1 << i) != 0 {
+                    let w = words.next().expect("one word per mask bit");
+                    cell.store(u64::from_le_bytes(w.try_into().unwrap()), Ordering::Relaxed);
+                }
             }
+        }
+        if at != data.len() {
+            return Err(err("trailing bytes after index dump"));
         }
         index.overflow_next.store(used, Ordering::Release);
         Ok(index)
@@ -497,9 +547,55 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         assert!(HashIndex::load(&[1, 2, 3]).is_err());
-        let mut bad = vec![0u8; 1024];
-        bad[0] = 3; // not a power of two
+        let mut bad = HashIndex::new(64).dump();
+        bad[8] = 3; // bucket count not a power of two
         assert!(HashIndex::load(&bad).is_err());
+    }
+
+    #[test]
+    fn load_rejects_the_old_format_and_truncation() {
+        let invalid = |data: &[u8]| {
+            HashIndex::load(data).err().map(|e| e.kind()) == Some(std::io::ErrorKind::InvalidData)
+        };
+        let idx = HashIndex::new(64);
+        for k in 0..300u64 {
+            idx.find_or_create(key_hash(k))
+                .try_update(INVALID_ADDRESS, 24 * (k + 1));
+        }
+        let dump = idx.dump();
+        // Format 1: `[n_buckets][overflow_used]`, then every word.
+        let mut old = Vec::new();
+        old.extend_from_slice(&64u64.to_le_bytes());
+        old.extend_from_slice(&0u64.to_le_bytes());
+        old.resize(16 + 64 * 64, 0);
+        assert!(invalid(&old), "the word-by-word format");
+        for cut in [0, 10, 23, 24, 25, dump.len() / 2, dump.len() - 1] {
+            assert!(invalid(&dump[..cut]), "cut at {cut}");
+        }
+        let mut padded = dump.clone();
+        padded.push(0);
+        assert!(invalid(&padded), "trailing byte");
+        assert!(HashIndex::load(&dump).is_ok());
+    }
+
+    #[test]
+    fn sparse_dump_is_smaller_and_reuses_its_buffer() {
+        let idx = HashIndex::new(1 << 10);
+        for k in 0..2000u64 {
+            idx.find_or_create(key_hash(k))
+                .try_update(INVALID_ADDRESS, 24 * (k + 1));
+        }
+        let mut buf = Vec::new();
+        idx.dump_into(&mut buf);
+        let words = (idx.bucket_count() + idx.overflow_used().len()) * 64;
+        assert!(buf.len() < words * 3 / 4, "{} vs {words}", buf.len());
+        let cap = buf.capacity();
+        let ptr = buf.as_ptr();
+        idx.dump_into(&mut buf);
+        assert_eq!((buf.capacity(), buf.as_ptr()), (cap, ptr));
+        assert_eq!(buf, idx.dump());
+        let back = HashIndex::load(&buf).unwrap();
+        assert_eq!(back.dump(), buf, "load then dump is the identity");
     }
 
     #[test]

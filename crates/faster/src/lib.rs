@@ -10,7 +10,9 @@
 //! * [`FasterSession`] — sessions with monotone serial numbers, pending
 //!   operations, and per-session CPR points;
 //! * checkpoints — fold-over & snapshot variants, fine- & coarse-grained
-//!   version shifts, fuzzy index checkpoints, and Alg. 3 recovery.
+//!   version shifts, fuzzy index checkpoints, and Alg. 3 recovery;
+//! * compaction — live records copied off the oldest part of the log so
+//!   the log can be truncated, keeping its size proportional to live data.
 //!
 //! # Quickstart
 //! ```
@@ -35,6 +37,7 @@
 
 pub mod addr;
 mod checkpoint;
+mod compact;
 pub mod header;
 pub mod hlog;
 pub mod index;
@@ -44,6 +47,7 @@ mod recovery;
 mod session;
 mod store;
 
+pub use compact::{CompactionStats, COMPACT_SPAN_FACTOR};
 pub use cpr_core::liveness::{
     Clock, CommitOutcome, LivenessConfig, SessionStatus, SystemClock, VirtualClock,
 };

@@ -4,9 +4,10 @@
 //! snapshot) with the newest fuzzy index checkpoint at or before it, then
 //! scans the HybridLog section `[S, E)` fixing the index:
 //!
-//! * `S = min(L_is, L_hs)`, `E = L_he` (our index dumps complete before
-//!   `L_he` is recorded, so every dumped address is durable — see
-//!   DESIGN.md);
+//! * `S = max(min(L_is, L_hs), begin)`, `E = L_he` (our index dumps
+//!   complete before `L_he` is recorded, so every dumped address is
+//!   durable — see DESIGN.md; nothing below the manifest's begin address
+//!   is needed, see `compact.rs`);
 //! * a record with version ≤ v becomes its slot's newest address (the
 //!   scan runs in address order, so later records win);
 //! * a record with version v + 1 is marked invalid on the device, and any
@@ -48,6 +49,7 @@ use cpr_storage::{CheckpointStore, Device, FaultDevice, FileDevice};
 
 use crate::addr::PageLayout;
 use crate::header::{version13, Header, RecordLayout};
+use crate::hlog::segment_bits;
 use crate::index::{key_hash, HashIndex};
 use crate::store::{FasterKv, FasterOptions};
 
@@ -94,8 +96,9 @@ pub(crate) fn recover<V: Pod>(
     };
 
     let metrics_on = opts.metrics.is_enabled();
-    let base: Arc<dyn Device> = Arc::new(FileDevice::open_with(
+    let base: Arc<dyn Device> = Arc::new(FileDevice::open_segmented(
         opts.dir.join("log.dat"),
+        segment_bits(opts.hlog.page_bits),
         opts.write_queues,
         opts.io_profile,
     )?);
@@ -144,7 +147,9 @@ pub(crate) fn recover<V: Pod>(
     let layout = PageLayout::new(opts.hlog.page_bits);
     let rec = RecordLayout::new(opts.hlog.value_size);
     let rec_size = rec.record_size() as u64;
-    let begin = rec_size;
+    // Nothing below the manifest's begin address is needed (or may
+    // still exist): the scan starts there and chains end there.
+    let begin = m_log.begin_address.unwrap_or(rec_size);
 
     let v = m_log.version;
     let vnext13 = version13(v + 1);
@@ -196,8 +201,11 @@ pub(crate) fn recover<V: Pod>(
         .map(|s| (s.guid, s.cpr_point))
         .collect();
 
-    let kv = FasterKv::build(opts, device, Some((index, v + 1, sessions)))?;
-    kv.inner.hlog.restore_at(e);
+    let kv = FasterKv::build(opts, device, Some((index, v + 1, sessions, e)))?;
+    kv.inner.hlog.restore_at(begin, e);
+    // Unlink segments a crash left below the begin address. Best effort:
+    // the next truncation retries.
+    let _ = kv.inner.hlog.unlink_below_begin();
     Ok((kv, Some(m_log)))
 }
 

@@ -698,10 +698,11 @@ impl<V: Pod> SessionState<V> {
         let ro = hl.read_only();
         let safe_ro = hl.safe_read_only();
 
-        // Walk the in-memory chain for our key.
+        // Walk the in-memory chain for our key; it ends below `begin`.
+        let begin = hl.begin_address();
         let mut addr = entry;
         let mut found: Option<(Address, Header)> = None;
-        while addr >= hl.begin_address() {
+        while addr >= begin {
             if addr < head {
                 break; // continues on disk
             }
@@ -755,7 +756,7 @@ impl<V: Pod> SessionState<V> {
                     self.append_record(store, &slot, entry, key, kind, input, Some(raddr), tag)
                 }
             }
-            None if addr >= hl.begin_address() => {
+            None if addr >= begin => {
                 // Chain continues on disk at `addr`.
                 self.resolve_disk(store, &slot, entry, addr, key, kind, input, tag, fetched)
             }
@@ -924,9 +925,10 @@ impl<V: Pod> SessionState<V> {
         else {
             return self.issue_or_wait(store, disk_addr, disk_addr);
         };
-        let h = Header::unpack(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
+        let word = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        let h = Header::unpack(word);
         let rkey = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        if !h.invalid && rkey == key {
+        if word != 0 && !h.invalid && rkey == key {
             if h.tombstone {
                 return match kind {
                     OpKind::Read | OpKind::Delete => Outcome::Done(None),
@@ -947,8 +949,9 @@ impl<V: Pod> SessionState<V> {
         }
         // Wrong key (hash-chain collision) or invalid: follow the chain
         // further down the log, as the in-memory walk does, keeping the
-        // walk's entry point.
-        if h.prev >= hl.begin_address() {
+        // walk's entry point. A zero header is a record truncated away
+        // while the read was in flight: its chain ended there.
+        if word != 0 && h.prev >= hl.begin_address() {
             return self.issue_or_wait(store, disk_addr, h.prev);
         }
         // Chain exhausted: key absent.
@@ -994,8 +997,9 @@ impl<V: Pod> SessionState<V> {
                     if self.part.phase == Phase::InProgress {
                         self.part.set_busy(&store.core, BusyState::Locking);
                         let out = if store.latches[b].try_exclusive() {
-                            let out = self
-                                .append_base_inner(store, slot, entry, key, kind, input, base, tag);
+                            let out = self.append_base_inner(
+                                store, slot, entry, key, kind, input, base, tag, None,
+                            );
                             store.latches[b].release_exclusive();
                             out
                         } else {
@@ -1016,9 +1020,13 @@ impl<V: Pod> SessionState<V> {
                 }
             }
         }
-        self.append_base_inner(store, slot, entry, key, kind, input, base, tag)
+        self.append_base_inner(store, slot, entry, key, kind, input, base, tag, None)
     }
 
+    /// Append the record and CAS the slot from `entry` to it. A record
+    /// `superseded` by it (the key's previous newest, in memory) is
+    /// marked as such once the new record is linked, so compaction can
+    /// skip it without a lookup.
     #[allow(clippy::too_many_arguments)]
     fn append_base_inner(
         &mut self,
@@ -1030,6 +1038,7 @@ impl<V: Pod> SessionState<V> {
         input: Option<V>,
         base: Option<V>,
         tag: u64,
+        superseded: Option<Address>,
     ) -> Outcome<V> {
         let value = match (kind, base) {
             (OpKind::Upsert, _) => input.expect("upsert input"),
@@ -1048,6 +1057,9 @@ impl<V: Pod> SessionState<V> {
         }
         store.hlog.write_record(addr, header, key, &self.scratch);
         if slot.try_update(entry, addr) {
+            if let Some(old) = superseded {
+                store.hlog.mark_superseded(old);
+            }
             Outcome::Done(None)
         } else {
             store.hlog.set_header(addr, header.with_invalid());
@@ -1075,7 +1087,7 @@ impl<V: Pod> SessionState<V> {
             store.hlog.value_at(raddr, &mut self.scratch2);
             value_from_words::<V>(&self.scratch2)
         });
-        self.append_base_inner(store, slot, entry, key, kind, input, base, tag)
+        self.append_base_inner(store, slot, entry, key, kind, input, base, tag, src)
     }
 }
 

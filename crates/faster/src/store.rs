@@ -21,7 +21,8 @@ use cpr_storage::{
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
-use crate::hlog::{HlogConfig, HybridLog};
+use crate::compact::{CompactionStats, Compactor};
+use crate::hlog::{segment_bits, HlogConfig, HybridLog};
 use crate::index::HashIndex;
 use crate::io::IoPool;
 use crate::session::FasterSession;
@@ -289,6 +290,10 @@ pub(crate) struct StoreInner<V: Pod> {
     pub(crate) metrics_on: bool,
     /// Fault injector handle, kept so snapshots can report fault hits.
     pub(crate) fault: Option<Arc<FaultInjector>>,
+    /// Log compaction state (see `compact.rs`).
+    pub(crate) compactor: Compactor,
+    /// The index checkpoint buffer, reused by every commit.
+    pub(crate) index_buf: Mutex<Vec<u8>>,
 }
 
 /// Handle to a FASTER store; cheap to clone.
@@ -317,8 +322,9 @@ impl<V: Pod> FasterKv<V> {
 
     pub(crate) fn open_inner(opts: FasterOptions<V>) -> io::Result<Self> {
         std::fs::create_dir_all(&opts.dir)?;
-        let base: Arc<dyn Device> = Arc::new(FileDevice::create_with(
+        let base: Arc<dyn Device> = Arc::new(FileDevice::create_segmented(
             opts.dir.join("log.dat"),
+            segment_bits(opts.hlog.page_bits),
             opts.write_queues,
             opts.io_profile,
         )?);
@@ -329,10 +335,13 @@ impl<V: Pod> FasterKv<V> {
         Self::build(opts, device, None)
     }
 
+    /// Assemble a store over `device`; `recovered` is what recovery
+    /// rebuilt: the index, the version to resume at, the sessions'
+    /// commit points, and the recovered commit's `L_he`.
     pub(crate) fn build(
         opts: FasterOptions<V>,
         device: Arc<dyn Device>,
-        recovered: Option<(HashIndex, u64, HashMap<u64, u64>)>,
+        recovered: Option<(HashIndex, u64, HashMap<u64, u64>, u64)>,
     ) -> io::Result<Self> {
         let epoch = Arc::new(EpochManager::new(opts.max_sessions + 8));
         assert_eq!(
@@ -348,9 +357,9 @@ impl<V: Pod> FasterKv<V> {
             device
         };
         let hlog = HybridLog::new(opts.hlog, Arc::clone(&device), Arc::clone(&epoch));
-        let (index, version, sessions) = match recovered {
-            Some((index, version, sessions)) => (index, version, sessions),
-            None => (HashIndex::new(opts.index_buckets), 1, HashMap::new()),
+        let (index, version, sessions, lhe) = match recovered {
+            Some(r) => r,
+            None => (HashIndex::new(opts.index_buckets), 1, HashMap::new(), 0),
         };
         let latch_count = index.bucket_count();
         let store = CheckpointStore::open_with(opts.dir.join("checkpoints"), opts.fault.clone())?
@@ -381,11 +390,18 @@ impl<V: Pod> FasterKv<V> {
             metrics: opts.metrics,
             metrics_on,
             fault: opts.fault,
+            compactor: Compactor::new((version - 1, lhe)),
+            index_buf: Mutex::new(Vec::new()),
         });
         CommitCore::start_flush_worker(
             &inner,
             "cpr-faster-checkpoint",
             crate::checkpoint::run_wait_flush,
+        );
+        CommitCore::start_background_worker(
+            &inner,
+            "cpr-faster-compactor",
+            crate::compact::maybe_compact,
         );
         if let Some(cfg) = inner.liveness.clone() {
             cpr_core::watchdog::start(&inner, cfg, "cpr-faster-watchdog");
@@ -429,6 +445,20 @@ impl<V: Pod> FasterKv<V> {
         }
         self.inner.core.begin_outcome();
         true
+    }
+
+    /// Run one log compaction pass now, on this thread: copy every live
+    /// record below `until` (clamped to the region a pass may take and
+    /// rounded down to a device segment) to the tail. The next commit
+    /// that begins after this call publishes the new begin address, and
+    /// once it is durable the log below it is given back. A background
+    /// worker already does this by the rule in [`crate::COMPACT_SPAN_FACTOR`];
+    /// returns `None` if there was nothing to do or an earlier pass still
+    /// awaits its commit. Like a commit, a pass needs the store's sessions
+    /// to keep refreshing (its appends may wait for an epoch drain), so
+    /// call it from a thread that owns no session.
+    pub fn compact_log(&self, until: u64) -> io::Result<Option<CompactionStats>> {
+        crate::compact::compact(&self.inner, until)
     }
 
     /// Fuzzy checkpoint of the hash index alone (paper Sec. 6.3).
@@ -533,11 +563,22 @@ impl<V: Pod> FasterKv<V> {
     /// are skipped. Pages are fetched from memory when resident, from the
     /// device otherwise. Intended for quiescent use (verification and
     /// serving scans after recovery): concurrent writers may or may not be
-    /// observed.
+    /// observed. A scan that a log truncation overtook (it may have read
+    /// records given back meanwhile) starts over.
     pub fn scan_all(&self) -> io::Result<Vec<(u64, V)>> {
+        loop {
+            let begin = self.inner.hlog.begin_address();
+            let out = self.scan_from(begin)?;
+            if self.inner.hlog.begin_address() == begin {
+                return Ok(out);
+            }
+        }
+    }
+
+    fn scan_from(&self, begin: u64) -> io::Result<Vec<(u64, V)>> {
         let hl = &self.inner.hlog;
         let rec = hl.rec.record_size();
-        let (begin, end) = (hl.begin_address(), hl.tail());
+        let end = hl.tail();
         if end <= begin {
             return Ok(Vec::new());
         }
@@ -551,24 +592,11 @@ impl<V: Pod> FasterKv<V> {
         let mut out: Vec<(u64, V)> = Vec::with_capacity(entries);
         let mut words = vec![0u64; self.inner.value_words];
         let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+        let mut buf = Vec::new();
         for page in (hl.layout.page(begin)..=hl.layout.page(end - 1)).rev() {
             let start = hl.layout.page_start(page).max(begin);
             let page_end = hl.layout.page_start(page + 1).min(end);
-            // Below `head` the authoritative bytes are the durable image:
-            // after recovery the restored tail page is marked resident
-            // with a zeroed frame, so frame-first reads of the recovered
-            // prefix would see slack. At or above `head`, frames hold
-            // appends not yet flushed.
-            let head = hl.head();
-            let buf = if page_end <= head {
-                hl.read_durable(start, page_end)?
-            } else if start >= head {
-                hl.read_range(start, page_end)?
-            } else {
-                let mut buf = hl.read_durable(start, head)?;
-                buf.extend(hl.read_range(head, page_end)?);
-                buf
-            };
+            hl.read_log_into(start, page_end, &mut buf)?;
             // Records never straddle pages, and the first zero header
             // starts the page's unwritten slack.
             let records = buf.chunks_exact(rec);

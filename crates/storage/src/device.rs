@@ -1,15 +1,17 @@
 //! Asynchronous block devices.
 //!
 //! Writes are queued to background writer threads. [`FileDevice`] can run
-//! a *pool* of writer queues (see [`FileDevice::create_pooled`]): writes
+//! a *pool* of writer queues (see [`FileDevice::create_segmented`]): writes
 //! are routed to a queue by the 1 MiB stripe of their starting offset, so
 //! overlapping writes to the same region stay on one queue in issue
 //! order, while bulk flushes that span many stripes fan out across all
 //! queues. [`Device::sync`] is a completion barrier across every queue.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
 use std::io;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -257,6 +259,15 @@ pub trait Device: Send + Sync + 'static {
     /// One past the largest byte ever written.
     fn len(&self) -> u64;
 
+    /// Give back the bytes below `offset`, at the device's granularity: a
+    /// segmented [`FileDevice`] unlinks every segment that lies wholly
+    /// below it. Reads there zero-fill afterwards. The default keeps
+    /// everything; every decorator must forward the call.
+    fn truncate_below(&self, offset: u64) -> io::Result<()> {
+        let _ = offset;
+        Ok(())
+    }
+
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -264,6 +275,8 @@ pub trait Device: Send + Sync + 'static {
 
 enum Job {
     Write {
+        file: Arc<File>,
+        /// Offset within `file`.
         offset: u64,
         data: Vec<u8>,
         handle: IoHandle,
@@ -272,16 +285,137 @@ enum Job {
     Shutdown,
 }
 
-/// File-backed device with a pool of dedicated writer threads.
+/// The files behind a [`FileDevice`]: fixed-size segments `<path>.0`,
+/// `<path>.1`, ... holding `2^bits` bytes of the address space each.
+/// Segments are created on first write; a segment that was never
+/// written, or was dropped by [`Device::truncate_below`], reads as
+/// zeroes.
+struct Files {
+    path: PathBuf,
+    /// log2 of the segment size.
+    segment_bits: u32,
+    open: RwLock<BTreeMap<u64, Arc<File>>>,
+    /// Segments below this index are gone.
+    first: AtomicU64,
+    /// Segments written since the last sync.
+    dirty: Mutex<BTreeSet<u64>>,
+    /// A segment was created since the last sync, so the directory entry
+    /// must be made durable too.
+    created: AtomicBool,
+}
+
+impl Files {
+    fn new(path: &Path, bits: u32, open: BTreeMap<u64, Arc<File>>) -> Self {
+        let first = open.keys().next().copied().unwrap_or(0);
+        Files {
+            path: path.to_path_buf(),
+            segment_bits: bits,
+            open: RwLock::new(open),
+            first: AtomicU64::new(first),
+            dirty: Mutex::new(BTreeSet::new()),
+            created: AtomicBool::new(false),
+        }
+    }
+
+    fn segment_path(path: &Path, seg: u64) -> PathBuf {
+        let mut name = path.as_os_str().to_owned();
+        name.push(format!(".{seg}"));
+        PathBuf::from(name)
+    }
+
+    /// The directory holding the segments of `path`.
+    fn dir(path: &Path) -> &Path {
+        match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        }
+    }
+
+    /// The segment files already in `path`'s directory, by index.
+    fn existing_segments(path: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+        let dir = Self::dir(path);
+        let prefix = format!(
+            "{}.",
+            path.file_name()
+                .and_then(|n| n.to_str())
+                .ok_or_else(|| io::Error::other("segment path has no file name"))?
+        );
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let seg = name
+                .to_str()
+                .and_then(|n| n.strip_prefix(&prefix))
+                .and_then(|n| n.parse::<u64>().ok());
+            if let Some(seg) = seg {
+                out.push((seg, entry.path()));
+            }
+        }
+        out.sort_unstable();
+        Ok(out)
+    }
+
+    /// Split `[offset, offset + len)` into `(segment, offset in segment,
+    /// length)` pieces.
+    fn pieces(&self, offset: u64, len: u64) -> Vec<(u64, u64, u64)> {
+        let bits = self.segment_bits;
+        let size = 1u64 << bits;
+        let mut out = Vec::new();
+        let mut at = offset;
+        let end = offset + len;
+        while at < end {
+            let seg = at >> bits;
+            let n = (size - (at & (size - 1))).min(end - at);
+            out.push((seg, at & (size - 1), n));
+            at += n;
+        }
+        out
+    }
+
+    fn get(&self, seg: u64) -> Option<Arc<File>> {
+        self.open.read().get(&seg).cloned()
+    }
+
+    /// The file of `seg`, created if it does not exist yet.
+    fn get_or_create(&self, seg: u64) -> io::Result<Arc<File>> {
+        if seg < self.first.load(Ordering::Acquire) {
+            return Err(io::Error::other(format!(
+                "write to segment {seg}, below the truncation point"
+            )));
+        }
+        if let Some(f) = self.get(seg) {
+            return Ok(f);
+        }
+        let mut open = self.open.write();
+        if let Some(f) = open.get(&seg) {
+            return Ok(Arc::clone(f));
+        }
+        let file = Arc::new(
+            std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(Self::segment_path(&self.path, seg))?,
+        );
+        open.insert(seg, Arc::clone(&file));
+        self.created.store(true, Ordering::Release);
+        Ok(file)
+    }
+}
+
+/// File-backed device with a pool of dedicated writer threads, stored as
+/// a run of fixed-size segment files so that dropping the front of a log
+/// ([`Device::truncate_below`]) is an `unlink` per segment.
 ///
-/// With one queue (the default) this is exactly the old single-writer
-/// device: every write applies in issue order. With `n > 1` queues,
-/// writes are routed by offset stripe ([`WRITE_STRIPE_BITS`]), keeping
-/// same-region writes ordered while striped bulk flushes proceed in
-/// parallel; [`FileDevice::sync`] barriers all queues and then issues a
-/// single `fdatasync`.
+/// With one queue every write applies in issue order. With `n > 1`
+/// queues, writes are routed by offset stripe ([`WRITE_STRIPE_BITS`]),
+/// keeping same-region writes ordered while striped bulk flushes proceed
+/// in parallel; [`FileDevice::sync`] barriers all queues and then issues
+/// one `fdatasync` per written segment.
 pub struct FileDevice {
-    file: Arc<std::fs::File>,
+    files: Files,
     txs: Vec<Sender<Job>>,
     writers: Mutex<Vec<JoinHandle<()>>>,
     high_water: AtomicU64,
@@ -289,64 +423,51 @@ pub struct FileDevice {
 }
 
 impl FileDevice {
-    /// Create (or truncate) the file at `path` with a single writer queue.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::create_pooled(path, 1)
-    }
-
-    /// Create (or truncate) the file at `path` with `queues` writer
-    /// threads.
-    pub fn create_pooled(path: impl AsRef<Path>, queues: usize) -> io::Result<Self> {
-        Self::create_with(path, queues, IoProfile::NONE)
-    }
-
-    /// [`FileDevice::create_pooled`] with a simulated speed profile.
-    pub fn create_with(
+    /// A fresh segmented device: segment `n` is the file `<path>.<n>` and
+    /// holds bytes `[n << segment_bits, (n + 1) << segment_bits)`. Any
+    /// segment files already there are deleted.
+    pub fn create_segmented(
         path: impl AsRef<Path>,
+        segment_bits: u32,
         queues: usize,
         profile: IoProfile,
     ) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(Self::from_parts(file, 0, queues, profile))
+        let path = path.as_ref();
+        for (_, p) in Files::existing_segments(path)? {
+            std::fs::remove_file(p)?;
+        }
+        let files = Files::new(path, segment_bits, BTreeMap::new());
+        Ok(Self::from_parts(files, 0, queues, profile))
     }
 
-    /// Open an existing file (e.g. for recovery) with a single queue.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_pooled(path, 1)
-    }
-
-    /// Open an existing file with `queues` writer threads.
-    pub fn open_pooled(path: impl AsRef<Path>, queues: usize) -> io::Result<Self> {
-        Self::open_with(path, queues, IoProfile::NONE)
-    }
-
-    /// [`FileDevice::open_pooled`] with a simulated speed profile.
-    pub fn open_with(
+    /// Open the segments a [`FileDevice::create_segmented`] device left
+    /// at `path` (none is an empty device). Reads below the lowest
+    /// segment found zero-fill, as after [`Device::truncate_below`].
+    pub fn open_segmented(
         path: impl AsRef<Path>,
+        segment_bits: u32,
         queues: usize,
         profile: IoProfile,
     ) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Self::from_parts(file, len, queues, profile))
+        let path = path.as_ref();
+        let mut open = BTreeMap::new();
+        let mut len = 0;
+        for (seg, p) in Files::existing_segments(path)? {
+            let file = std::fs::OpenOptions::new().read(true).write(true).open(p)?;
+            let end = (seg << segment_bits) + file.metadata()?.len();
+            len = len.max(end);
+            open.insert(seg, Arc::new(file));
+        }
+        let files = Files::new(path, segment_bits, open);
+        Ok(Self::from_parts(files, len, queues, profile))
     }
 
-    fn from_parts(file: std::fs::File, len: u64, queues: usize, profile: IoProfile) -> Self {
+    fn from_parts(files: Files, len: u64, queues: usize, profile: IoProfile) -> Self {
         let queues = queues.max(1);
-        let file = Arc::new(file);
         let mut txs = Vec::with_capacity(queues);
         let mut writers = Vec::with_capacity(queues);
         for q in 0..queues {
             let (tx, rx) = unbounded::<Job>();
-            let wfile = Arc::clone(&file);
             let writer = std::thread::Builder::new()
                 .name(format!("cpr-file-writer-{q}"))
                 .spawn(move || {
@@ -354,16 +475,17 @@ impl FileDevice {
                     for job in rx {
                         match job {
                             Job::Write {
+                                file,
                                 offset,
                                 data,
                                 handle,
                             } => {
                                 profile.throttle_write(data.len());
-                                let res = wfile.write_all_at(&data, offset);
+                                let res = file.write_all_at(&data, offset);
                                 handle.complete(res);
                             }
                             // Queue-drain marker only; the caller issues
-                            // one fdatasync after *all* queues drain.
+                            // the fdatasyncs after *all* queues drain.
                             Job::Barrier(handle) => handle.complete(Ok(())),
                             Job::Shutdown => break,
                         }
@@ -374,7 +496,7 @@ impl FileDevice {
             writers.push(writer);
         }
         FileDevice {
-            file,
+            files,
             txs,
             writers: Mutex::new(writers),
             high_water: AtomicU64::new(len),
@@ -387,6 +509,11 @@ impl FileDevice {
         self.txs.len()
     }
 
+    /// Indexes of the segment files currently present, ascending.
+    pub fn segments(&self) -> Vec<u64> {
+        self.files.open.read().keys().copied().collect()
+    }
+
     fn queue_for(&self, offset: u64) -> usize {
         if self.txs.len() == 1 {
             0
@@ -396,12 +523,39 @@ impl FileDevice {
     }
 
     fn enqueue(&self, offset: u64, data: Vec<u8>) -> IoHandle {
-        let handle = IoHandle::pending();
         self.high_water
             .fetch_max(offset + data.len() as u64, Ordering::AcqRel);
+        let pieces = self.files.pieces(offset, data.len() as u64);
+        if pieces.len() == 1 {
+            let (seg, at, _) = pieces[0];
+            return self.enqueue_piece(offset, seg, at, data);
+        }
+        let mut handles = Vec::with_capacity(pieces.len());
+        let mut from = 0usize;
+        for (seg, at, n) in pieces {
+            let piece = data[from..from + n as usize].to_vec();
+            handles.push(self.enqueue_piece(offset + from as u64, seg, at, piece));
+            from += n as usize;
+        }
+        IoHandle::join(handles)
+    }
+
+    /// Queue one write that lies inside segment `seg` (at `at` within
+    /// it); `offset` is its device address, which picks the queue.
+    fn enqueue_piece(&self, offset: u64, seg: u64, at: u64, data: Vec<u8>) -> IoHandle {
+        let handle = IoHandle::pending();
+        let file = match self.files.get_or_create(seg) {
+            Ok(f) => f,
+            Err(e) => {
+                handle.complete(Err(e));
+                return handle;
+            }
+        };
+        self.files.dirty.lock().insert(seg);
         self.txs[self.queue_for(offset)]
             .send(Job::Write {
-                offset,
+                file,
+                offset: at,
                 data,
                 handle: handle.clone(),
             })
@@ -431,17 +585,27 @@ impl Device for FileDevice {
         if !self.profile.read_latency.is_zero() {
             std::thread::sleep(self.profile.read_latency);
         }
-        let mut done = 0usize;
-        while done < buf.len() {
-            match self.file.read_at(&mut buf[done..], offset + done as u64) {
-                Ok(0) => {
-                    // Past the physical end: the rest reads as zeroes.
-                    buf[done..].fill(0);
-                    break;
+        let mut from = 0usize;
+        for (seg, at, n) in self.files.pieces(offset, buf.len() as u64) {
+            let out = &mut buf[from..from + n as usize];
+            from += n as usize;
+            let Some(file) = self.files.get(seg) else {
+                // Never written, or truncated away.
+                out.fill(0);
+                continue;
+            };
+            let mut done = 0usize;
+            while done < out.len() {
+                match file.read_at(&mut out[done..], at + done as u64) {
+                    Ok(0) => {
+                        // Past the physical end: the rest reads as zeroes.
+                        out[done..].fill(0);
+                        break;
+                    }
+                    Ok(n) => done += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
                 }
-                Ok(n) => done += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -456,11 +620,38 @@ impl Device for FileDevice {
             barriers.push(handle);
         }
         IoHandle::join(barriers).wait()?;
-        self.file.sync_data()
+        let dirty = std::mem::take(&mut *self.files.dirty.lock());
+        for seg in dirty {
+            if let Some(file) = self.files.get(seg) {
+                file.sync_data()?;
+            }
+        }
+        if self.files.created.swap(false, Ordering::AcqRel) {
+            // New segment files: make their directory entries durable.
+            File::open(Files::dir(&self.files.path))?.sync_all()?;
+        }
+        Ok(())
     }
 
     fn len(&self) -> u64 {
         self.high_water.load(Ordering::Acquire)
+    }
+
+    /// Unlink every segment that lies wholly below `offset`, lowest
+    /// first.
+    fn truncate_below(&self, offset: u64) -> io::Result<()> {
+        let end = offset >> self.files.segment_bits;
+        let first = self.files.first.load(Ordering::Acquire);
+        for seg in first..end {
+            self.files.first.fetch_max(seg + 1, Ordering::AcqRel);
+            self.files.open.write().remove(&seg);
+            self.files.dirty.lock().remove(&seg);
+            match std::fs::remove_file(Files::segment_path(&self.files.path, seg)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -475,10 +666,20 @@ impl Drop for FileDevice {
     }
 }
 
+enum MemJob {
+    Write {
+        offset: u64,
+        data: Vec<u8>,
+        handle: IoHandle,
+    },
+    Barrier(IoHandle),
+    Shutdown,
+}
+
 /// In-memory device with optional simulated latency/bandwidth.
 pub struct MemDevice {
     data: RwLock<Vec<u8>>,
-    tx: Sender<Job>,
+    tx: Sender<MemJob>,
     writer: Mutex<Option<JoinHandle<()>>>,
     high_water: AtomicU64,
 }
@@ -497,7 +698,7 @@ impl MemDevice {
             read_latency: Duration::ZERO,
             bandwidth,
         };
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = unbounded::<MemJob>();
         let dev = Arc::new(MemDevice {
             data: RwLock::new(Vec::new()),
             tx,
@@ -510,7 +711,7 @@ impl MemDevice {
             .spawn(move || {
                 for job in rx {
                     match job {
-                        Job::Write {
+                        MemJob::Write {
                             offset,
                             data,
                             handle,
@@ -526,8 +727,8 @@ impl MemDevice {
                             drop(store);
                             handle.complete(Ok(()));
                         }
-                        Job::Barrier(handle) => handle.complete(Ok(())),
-                        Job::Shutdown => break,
+                        MemJob::Barrier(handle) => handle.complete(Ok(())),
+                        MemJob::Shutdown => break,
                     }
                 }
             })
@@ -543,7 +744,7 @@ impl Device for MemDevice {
         self.high_water
             .fetch_max(offset + data.len() as u64, Ordering::AcqRel);
         self.tx
-            .send(Job::Write {
+            .send(MemJob::Write {
                 offset,
                 data,
                 handle: handle.clone(),
@@ -564,7 +765,7 @@ impl Device for MemDevice {
     fn sync(&self) -> io::Result<()> {
         let handle = IoHandle::pending();
         self.tx
-            .send(Job::Barrier(handle.clone()))
+            .send(MemJob::Barrier(handle.clone()))
             .expect("writer thread alive");
         handle.wait()
     }
@@ -576,7 +777,7 @@ impl Device for MemDevice {
 
 impl Drop for MemDevice {
     fn drop(&mut self) {
-        let _ = self.tx.send(Job::Shutdown);
+        let _ = self.tx.send(MemJob::Shutdown);
         if let Some(w) = self.writer.lock().take() {
             let _ = w.join();
         }
@@ -586,6 +787,11 @@ impl Drop for MemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A device whose segments (1 GiB) no test fills.
+    fn file_device(path: impl AsRef<Path>, queues: usize) -> FileDevice {
+        FileDevice::create_segmented(path, 30, queues, IoProfile::NONE).unwrap()
+    }
 
     fn roundtrip(dev: &dyn Device) {
         let h = dev.write_at(10, vec![1, 2, 3, 4]);
@@ -605,14 +811,14 @@ mod tests {
     #[test]
     fn file_device_roundtrip() {
         let dir = tempfile::tempdir().unwrap();
-        let dev = FileDevice::create(dir.path().join("log.dat")).unwrap();
+        let dev = file_device(dir.path().join("log.dat"), 1);
         roundtrip(&dev);
     }
 
     #[test]
     fn pooled_file_device_roundtrip() {
         let dir = tempfile::tempdir().unwrap();
-        let dev = FileDevice::create_pooled(dir.path().join("log.dat"), 4).unwrap();
+        let dev = file_device(dir.path().join("log.dat"), 4);
         assert_eq!(dev.queues(), 4);
         roundtrip(&dev);
     }
@@ -622,11 +828,11 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("log.dat");
         {
-            let dev = FileDevice::create(&path).unwrap();
+            let dev = file_device(&path, 1);
             dev.write_at(0, b"hello world".to_vec()).wait().unwrap();
             dev.sync().unwrap();
         }
-        let dev = FileDevice::open(&path).unwrap();
+        let dev = FileDevice::open_segmented(&path, 30, 1, IoProfile::NONE).unwrap();
         assert_eq!(dev.len(), 11);
         let mut buf = [0u8; 11];
         dev.read_at(0, &mut buf).unwrap();
@@ -648,7 +854,7 @@ mod tests {
     #[test]
     fn pooled_writes_same_stripe_stay_ordered() {
         let dir = tempfile::tempdir().unwrap();
-        let dev = FileDevice::create_pooled(dir.path().join("log.dat"), 4).unwrap();
+        let dev = file_device(dir.path().join("log.dat"), 4);
         for i in 0..100u8 {
             dev.write_at(0, vec![i]);
         }
@@ -661,8 +867,9 @@ mod tests {
     #[test]
     fn pooled_sync_barriers_every_queue() {
         let dir = tempfile::tempdir().unwrap();
-        let dev = FileDevice::create_with(
+        let dev = FileDevice::create_segmented(
             dir.path().join("log.dat"),
+            30,
             4,
             IoProfile {
                 write_latency: Duration::from_millis(3),
@@ -683,7 +890,7 @@ mod tests {
     #[test]
     fn write_vectored_matches_concatenated_write() {
         let dir = tempfile::tempdir().unwrap();
-        let pooled = FileDevice::create_pooled(dir.path().join("a.dat"), 4).unwrap();
+        let pooled = file_device(dir.path().join("a.dat"), 4);
         let mem = MemDevice::new();
         let bufs: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 100_000]).collect();
         let flat: Vec<u8> = bufs.iter().flatten().copied().collect();
@@ -708,7 +915,7 @@ mod tests {
     #[test]
     fn read_past_end_zero_fills() {
         let dir = tempfile::tempdir().unwrap();
-        let file = FileDevice::create(dir.path().join("log.dat")).unwrap();
+        let file = file_device(dir.path().join("log.dat"), 1);
         let mem = MemDevice::new();
         for dev in [&file as &dyn Device, &*mem] {
             dev.write_at(0, vec![7]).wait().unwrap();
@@ -722,6 +929,97 @@ mod tests {
             dev.read_at(100, &mut past).unwrap();
             assert_eq!(past, [0; 4], "fully past-end read is all zeroes");
         }
+    }
+
+    /// 4 KiB segments: small enough that a test crosses several.
+    const SEG_BITS: u32 = 12;
+
+    fn segmented(dir: &Path) -> FileDevice {
+        FileDevice::create_segmented(dir.join("log.dat"), SEG_BITS, 2, IoProfile::NONE).unwrap()
+    }
+
+    fn pattern(offset: u64, len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| ((offset + i) % 251) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn segmented_reads_and_writes_cross_segment_boundaries() {
+        let dir = tempfile::tempdir().unwrap();
+        let dev = segmented(dir.path());
+        // Straddles segments 0..=3; a vectored write straddles 4..=6.
+        let data = pattern(4000, 9000);
+        dev.write_at(4000, data.clone()).wait().unwrap();
+        let (a, b) = (pattern(20_000, 3000), pattern(23_000, 2000));
+        dev.write_vectored_at(20_000, vec![a.clone(), b.clone()])
+            .wait()
+            .unwrap();
+        dev.sync().unwrap();
+        assert_eq!(dev.segments(), vec![0, 1, 2, 3, 4, 5, 6]);
+        let mut got = vec![0u8; 9000];
+        dev.read_at(4000, &mut got).unwrap();
+        assert_eq!(got, data);
+        let mut got = vec![0u8; 5000];
+        dev.read_at(20_000, &mut got).unwrap();
+        assert_eq!(got, [a, b].concat());
+        assert_eq!(dev.len(), 25_000);
+        // Each segment file holds exactly its share of the address space.
+        let seg1 = std::fs::metadata(dir.path().join("log.dat.1")).unwrap();
+        assert_eq!(seg1.len(), 1 << SEG_BITS);
+    }
+
+    #[test]
+    fn truncate_below_unlinks_exactly_the_whole_segments() {
+        let dir = tempfile::tempdir().unwrap();
+        let dev = segmented(dir.path());
+        let seg = 1u64 << SEG_BITS;
+        dev.write_at(0, pattern(0, 5 * seg as usize))
+            .wait()
+            .unwrap();
+        dev.sync().unwrap();
+        // Segment 2 holds 2.5*seg, so it stays.
+        dev.truncate_below(2 * seg + seg / 2).unwrap();
+        assert_eq!(dev.segments(), vec![2, 3, 4]);
+        for gone in 0..2 {
+            assert!(!dir.path().join(format!("log.dat.{gone}")).exists());
+        }
+        let mut got = vec![0xffu8; 16];
+        dev.read_at(seg, &mut got).unwrap();
+        assert_eq!(got, [0; 16], "a dropped segment reads as zeroes");
+        let mut got = vec![0u8; 16];
+        dev.read_at(2 * seg, &mut got).unwrap();
+        assert_eq!(got, pattern(2 * seg, 16));
+        assert!(dev.write_at(seg, vec![1; 8]).wait().is_err());
+        // Truncation never moves back.
+        dev.truncate_below(seg).unwrap();
+        assert_eq!(dev.segments(), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn reopen_finds_the_segments() {
+        let dir = tempfile::tempdir().unwrap();
+        let seg = 1u64 << SEG_BITS;
+        {
+            let dev = segmented(dir.path());
+            dev.write_at(seg / 2, pattern(seg / 2, 3 * seg as usize))
+                .wait()
+                .unwrap();
+            dev.sync().unwrap();
+            dev.truncate_below(seg).unwrap();
+        }
+        let path = dir.path().join("log.dat");
+        let dev = FileDevice::open_segmented(&path, SEG_BITS, 1, IoProfile::NONE).unwrap();
+        assert_eq!(dev.segments(), vec![1, 2, 3]);
+        assert_eq!(dev.len(), seg / 2 + 3 * seg);
+        let mut got = vec![0u8; 2 * seg as usize];
+        dev.read_at(seg, &mut got).unwrap();
+        assert_eq!(got, pattern(seg, 2 * seg as usize));
+        // A fresh device at the same path starts empty.
+        drop(dev);
+        let dev = segmented(dir.path());
+        assert!(dev.segments().is_empty());
+        assert_eq!(Files::existing_segments(&path).unwrap().len(), 0);
     }
 
     #[test]

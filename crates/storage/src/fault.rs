@@ -391,6 +391,7 @@ impl FaultInjector {
 /// ([`FaultInjector::next_read_io`]) that is fault-free unless read
 /// faults are explicitly armed, so by default reads and syncs fail only
 /// after a crash and never shift the "fail the Nth *write*" numbering.
+/// Each [`Device::truncate_below`] call is one *delete* operation.
 pub struct FaultDevice {
     inner: Arc<dyn Device>,
     injector: Arc<FaultInjector>,
@@ -467,6 +468,15 @@ impl Device for FaultDevice {
 
     fn len(&self) -> u64 {
         self.inner.len()
+    }
+
+    /// One *delete* operation ([`FaultInjector::next_delete_io`]): a
+    /// crash verdict unlinks nothing and freezes the device.
+    fn truncate_below(&self, offset: u64) -> io::Result<()> {
+        match self.injector.next_delete_io() {
+            IoVerdict::Ok => self.inner.truncate_below(offset),
+            _ => Err(self.injector.error()),
+        }
     }
 }
 
@@ -561,6 +571,34 @@ mod tests {
         assert!(dev.read_at(0, &mut buf).is_err());
         assert!(inj.crashed());
         assert!(dev.write_at(0, vec![3; 8]).wait().is_err());
+    }
+
+    #[test]
+    fn truncation_draws_delete_ops_and_a_crash_unlinks_nothing() {
+        let dir = tempfile::tempdir().unwrap();
+        let inner: Arc<dyn Device> = Arc::new(
+            crate::FileDevice::create_segmented(
+                dir.path().join("log.dat"),
+                12,
+                1,
+                crate::IoProfile::NONE,
+            )
+            .unwrap(),
+        );
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let dev = FaultDevice::new(inner, Arc::clone(&inj));
+        dev.write_at(0, vec![5; 4 << 12]).wait().unwrap();
+        dev.sync().unwrap();
+        let seg = |n: u64| dir.path().join(format!("log.dat.{n}")).exists();
+        dev.truncate_below(1 << 12).unwrap();
+        assert!(!seg(0) && seg(1));
+        // The next delete op crashes: segment 1 survives, as does the
+        // write-op numbering (truncations drew no write ops).
+        inj.crash_delete_after(0);
+        assert!(dev.truncate_below(2 << 12).is_err());
+        assert!(inj.crashed());
+        assert!(seg(1) && seg(2) && seg(3));
+        assert_eq!(inj.op_count(), 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The paper evaluates on local NVMe SSDs; this crate replaces them with a
 //! [`Device`] abstraction with two implementations:
 //!
-//! * [`FileDevice`] — file-backed positioned I/O with a dedicated writer
-//!   thread providing asynchronous completions (the common case);
+//! * [`FileDevice`] — file-backed positioned I/O over fixed-size segment
+//!   files (so a log's front can be unlinked), with writer threads
+//!   providing asynchronous completions (the common case);
 //! * [`MemDevice`] — an in-memory device with optional simulated latency
 //!   and bandwidth, for deterministic tests and for machines without a
 //!   fast disk.

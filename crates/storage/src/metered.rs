@@ -75,6 +75,10 @@ impl Device for MeteredDevice {
     fn len(&self) -> u64 {
         self.inner.len()
     }
+
+    fn truncate_below(&self, offset: u64) -> io::Result<()> {
+        self.inner.truncate_below(offset)
+    }
 }
 
 #[cfg(test)]

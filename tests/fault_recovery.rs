@@ -1150,3 +1150,368 @@ fn memdb_recovery_killed_then_retried() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// FASTER log compaction. A pass copies the live records of the oldest
+// segments to the tail; a later commit publishes the new begin address,
+// and only once its manifest is durable are the segments below it
+// unlinked. Crashes before the publishing commit, in the middle of the
+// unlinking, and around a version-v+1 record that recovery rolls back
+// must all recover exactly the committed prefix. `CPR_STRESS_SEED`
+// varies the values and which keys are hot.
+// ---------------------------------------------------------------------------
+
+/// Keys of the compaction schedules: enough that the 1.5 live segments
+/// keep the background rule (span above 3x live bytes) from starting a
+/// pass of its own, so the explicit pass is the only one.
+const CKEYS: u64 = 1500;
+
+fn compaction_seed() -> u64 {
+    std::env::var("CPR_STRESS_SEED")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(0xc0_4ac7)
+}
+
+/// Preload every key, then run `rounds` rounds that update the hot third
+/// of the keys, with a fold-over commit after the preload and after each
+/// round. The cold two thirds keep their only record in the oldest
+/// segments, so a pass must copy them.
+fn compaction_churn(
+    kv: &FasterKv<u64>,
+    s: &mut FasterSession<u64>,
+    seed: u64,
+    rounds: u64,
+    tag: &str,
+) -> HashMap<u64, u64> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut model = HashMap::new();
+    for round in 0..=rounds {
+        for key in 0..CKEYS {
+            if round > 0 && !key.wrapping_add(seed).is_multiple_of(3) {
+                continue;
+            }
+            let delta = rng.gen_range(1..1000u64);
+            s.rmw(key, delta);
+            *model.entry(key).or_insert(0u64) += delta;
+        }
+        let v = kv.committed_version().0 + 1;
+        assert!(
+            kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
+        assert!(faster_pump(kv, s, v, 0, tag), "churn commit {v}: {tag}");
+    }
+    model
+}
+
+/// Run a compaction pass over everything it may take on another thread
+/// while `s` keeps refreshing: the pass's appends can wait for an epoch
+/// drain, which needs every session to refresh.
+fn compact_refreshing(
+    kv: &FasterKv<u64>,
+    s: &mut FasterSession<u64>,
+    tag: &str,
+) -> cpr::faster::CompactionStats {
+    let stats = std::thread::scope(|sc| {
+        let pass = sc.spawn(|| kv.compact_log(u64::MAX).unwrap());
+        while !pass.is_finished() {
+            s.refresh();
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        pass.join().unwrap()
+    });
+    stats.unwrap_or_else(|| panic!("no pass: {tag}"))
+}
+
+fn log_segments(dir: &std::path::Path) -> Vec<u64> {
+    let mut segs: Vec<u64> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            name.strip_prefix("log.dat.").and_then(|n| n.parse().ok())
+        })
+        .collect();
+    segs.sort_unstable();
+    segs
+}
+
+/// Recover `dir` at 1, 2 and 4 threads: each must find `begin`, scan
+/// exactly `model`, read it back key by key, and build the same index.
+fn check_compacted_recovery(
+    dir: &std::path::Path,
+    model: &HashMap<u64, u64>,
+    begin: u64,
+    tag: &str,
+) {
+    let mut want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+    want.sort_unstable();
+    let mut digests = Vec::new();
+    for threads in [1, 2, 4] {
+        let (kv, m) = faster_opts(dir, None)
+            .recovery_threads(threads)
+            .recover()
+            .unwrap_or_else(|e| panic!("recovery failed ({threads} threads): {e}: {tag}"));
+        let m = m.unwrap_or_else(|| panic!("no commit: {tag}"));
+        assert_eq!(m.begin_address, Some(begin), "manifest begin: {tag}");
+        assert_eq!(kv.hlog().begin_address(), begin, "{tag}");
+        let bits = kv.hlog().segment_bits();
+        let segs = log_segments(dir);
+        assert!(
+            segs.iter().all(|&seg| seg >= begin >> bits),
+            "segments {segs:?} left below begin {begin}: {tag}"
+        );
+        assert_eq!(
+            kv.scan_all().unwrap(),
+            want,
+            "scan ({threads} threads): {tag}"
+        );
+        let mut s = kv.start_session(99);
+        for key in (0..CKEYS).step_by(7) {
+            assert_eq!(
+                faster_read(&mut s, key, tag),
+                model.get(&key).copied(),
+                "key {key} ({threads} threads): {tag}"
+            );
+        }
+        drop(s);
+        digests.push(kv.index_digest());
+    }
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "index digests differ across recovery threads {digests:x?}: {tag}"
+    );
+}
+
+/// Crash after a pass has copied the live records but before any commit
+/// publishes its begin address: recovery uses the old begin, and the
+/// copies are either absent (beyond the recovered tail) or harmless.
+#[test]
+fn faster_compaction_crash_before_publishing_commit() {
+    let seed = compaction_seed();
+    let tag = format!("faster compaction crash-before-publish seed={seed:#x}");
+    let dir = tempfile::tempdir().unwrap();
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+    let (model, begin) = {
+        let kv: FasterKv<u64> = faster_opts(dir.path(), Some(inj.clone())).open().unwrap();
+        let mut s = kv.start_session(7);
+        let model = compaction_churn(&kv, &mut s, seed, 3, &tag);
+        let begin = kv.hlog().begin_address();
+        let scan = kv.scan_all().unwrap();
+        let stats = compact_refreshing(&kv, &mut s, &tag);
+        assert!(stats.copied > 0 && stats.until > begin, "{stats:?}: {tag}");
+        assert_eq!(kv.scan_all().unwrap(), scan, "copies changed data: {tag}");
+        // The publishing commit's log flush is the next write: it never
+        // lands, and no manifest names the new begin.
+        inj.crash_after(0);
+        let failures = kv.checkpoint_failures();
+        assert!(
+            kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
+        let v = kv.committed_version().0 + 1;
+        assert!(!faster_pump(&kv, &mut s, v, failures, &tag), "{tag}");
+        assert_eq!(kv.hlog().begin_address(), begin, "{tag}");
+        (model, begin)
+    };
+    check_compacted_recovery(dir.path(), &model, begin, &tag);
+}
+
+/// Crash at each of the unlinks that follow the durable publishing
+/// manifest: the surviving segments below the new begin are ignored,
+/// and recovery removes them.
+#[test]
+fn faster_compaction_crash_mid_unlink() {
+    let seed = compaction_seed();
+    for crash_at_delete in 0..3 {
+        let tag = format!("faster compaction crash@delete{crash_at_delete} seed={seed:#x}");
+        println!("{tag}");
+        let dir = tempfile::tempdir().unwrap();
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let (model, until) = {
+            let kv: FasterKv<u64> = faster_opts(dir.path(), Some(inj.clone())).open().unwrap();
+            let mut s = kv.start_session(7);
+            let model = compaction_churn(&kv, &mut s, seed, 3, &tag);
+            let stats = compact_refreshing(&kv, &mut s, &tag);
+            let bits = kv.hlog().segment_bits();
+            let doomed = (stats.until >> bits) - (kv.hlog().begin_address() >> bits);
+            assert!(doomed > crash_at_delete, "{doomed} segments: {tag}");
+            // Segment unlinks come first after the manifest, one delete
+            // op each, lowest first.
+            inj.crash_delete_after(crash_at_delete);
+            let v = kv.committed_version().0 + 1;
+            assert!(
+                kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+                "{tag}"
+            );
+            assert!(faster_pump(&kv, &mut s, v, 0, &tag), "{tag}");
+            // The unlinking follows the commit's report.
+            let deadline = Instant::now() + PUMP_DEADLINE;
+            while !inj.crashed() {
+                assert!(Instant::now() < deadline, "no unlink crash: {tag}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let segs = log_segments(dir.path());
+            assert_eq!(
+                segs.first().copied(),
+                Some(crash_at_delete),
+                "unlinking froze at the crash: {segs:?}: {tag}"
+            );
+            (model, stats.until)
+        };
+        check_compacted_recovery(dir.path(), &model, until, &tag);
+    }
+}
+
+/// The rollback case. Key `k`'s newest record is a version-v+1 update
+/// written during the commit of v (so below that commit's `L_he`), and
+/// its older record lies in the region a pass compacts. The pass finds
+/// the older record dead and skips it; its begin address must not be
+/// published by the commit of v, or recovering v (which rolls the v+1
+/// record back) would lose `k`. Checked both ways: crash after the
+/// commit of v, and after the commit of v+1 that publishes the begin.
+#[test]
+fn faster_compaction_rollback_keeps_committed_value() {
+    let seed = compaction_seed();
+    for publish in [false, true] {
+        let tag = format!("faster compaction rollback publish={publish} seed={seed:#x}");
+        println!("{tag}");
+        let dir = tempfile::tempdir().unwrap();
+        let (model, begin) = {
+            // The whole log fits in memory: with `b` held back from
+            // refreshing, nothing may wait for an epoch drain.
+            let kv: FasterKv<u64> = faster_opts(dir.path(), None)
+                .hlog(HlogConfig {
+                    page_bits: 12,
+                    memory_pages: 64,
+                    mutable_pages: 8,
+                    value_size: 8,
+                })
+                .open()
+                .unwrap();
+            let mut a = kv.start_session(7);
+            let mut model = compaction_churn(&kv, &mut a, seed, 3, &tag);
+            let begin = kv.hlog().begin_address();
+            let mut b = kv.start_session(8);
+            // A cold key: its only record is in the oldest segment.
+            let key = (0..CKEYS)
+                .find(|k| !k.wrapping_add(seed).is_multiple_of(3))
+                .unwrap();
+            let v = kv.committed_version().0 + 1;
+            assert!(
+                kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+                "{tag}"
+            );
+            b.refresh(); // b acknowledges PREPARE and then stays behind
+            let deadline = Instant::now() + PUMP_DEADLINE;
+            while a.info().phase != Phase::InProgress {
+                assert!(Instant::now() < deadline, "no IN-PROGRESS: {tag}");
+                a.refresh();
+            }
+            assert_eq!(b.info().phase, Phase::Prepare, "{tag}");
+            // A version-v+1 update of the cold key.
+            assert_eq!(a.upsert(key, 4242), cpr::faster::Status::Ok, "{tag}");
+            // A pass started now waits out the commit of v, which ends
+            // once `b` is gone. It finds the cold key's old record dead,
+            // and the commit of v keeps the old begin.
+            let stats = std::thread::scope(|sc| {
+                let pass = sc.spawn(|| kv.compact_log(u64::MAX).unwrap());
+                drop(b);
+                assert!(faster_pump(&kv, &mut a, v, 0, &tag), "{tag}");
+                while !pass.is_finished() {
+                    a.refresh();
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                pass.join().unwrap()
+            });
+            let stats = stats.unwrap_or_else(|| panic!("no pass: {tag}"));
+            assert!(stats.until > begin, "{stats:?}: {tag}");
+            assert_eq!(
+                kv.hlog().begin_address(),
+                begin,
+                "published too early: {tag}"
+            );
+            if !publish {
+                (model, begin)
+            } else {
+                model.insert(key, 4242);
+                assert!(
+                    kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+                    "{tag}"
+                );
+                assert!(faster_pump(&kv, &mut a, v + 1, 0, &tag), "{tag}");
+                assert_eq!(kv.hlog().begin_address(), stats.until, "{tag}");
+                (model, stats.until)
+            }
+        };
+        check_compacted_recovery(dir.path(), &model, begin, &tag);
+    }
+}
+
+/// Superseded marks survive a crash but may lie: here a record is marked
+/// superseded by a version-v+1 update, flushed with the mark by the
+/// commit of v, and then recovery rolls the update back. A pass over the
+/// recovered log must still copy the record.
+#[test]
+fn faster_compaction_ignores_marks_of_rolled_back_updates() {
+    let seed = compaction_seed();
+    let tag = format!("faster compaction rolled-back mark seed={seed:#x}");
+    let dir = tempfile::tempdir().unwrap();
+    let opts = |dir: &std::path::Path| {
+        faster_opts(dir, None).hlog(HlogConfig {
+            page_bits: 12,
+            memory_pages: 64,
+            mutable_pages: 8,
+            value_size: 8,
+        })
+    };
+    let key = (0..CKEYS)
+        .find(|k| !k.wrapping_add(seed).is_multiple_of(3))
+        .unwrap();
+    let mut model = {
+        let kv: FasterKv<u64> = opts(dir.path()).open().unwrap();
+        let mut a = kv.start_session(7);
+        let mut model = compaction_churn(&kv, &mut a, seed, 3, &tag);
+        // A version-v record of the key, then a segment's worth of other
+        // records, so a pass over the recovered log reaches it.
+        a.upsert(key, 777);
+        model.insert(key, 777);
+        for k in CKEYS..CKEYS + 1000 {
+            a.upsert(k, k);
+            model.insert(k, k);
+        }
+        let mut b = kv.start_session(8);
+        let v = kv.committed_version().0 + 1;
+        assert!(
+            kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+            "{tag}"
+        );
+        b.refresh();
+        let deadline = Instant::now() + PUMP_DEADLINE;
+        while a.info().phase != Phase::InProgress {
+            assert!(Instant::now() < deadline, "no IN-PROGRESS: {tag}");
+            a.refresh();
+        }
+        // Version v+1 supersedes the version-v record, which the commit
+        // of v then flushes with its mark.
+        assert_eq!(a.upsert(key, 4242), cpr::faster::Status::Ok, "{tag}");
+        drop(b);
+        assert!(faster_pump(&kv, &mut a, v, 0, &tag), "{tag}");
+        model
+    };
+    let (kv, _) = opts(dir.path()).recover().unwrap();
+    let mut s = kv.start_session(9);
+    assert_eq!(faster_read(&mut s, key, &tag), Some(777), "{tag}");
+    let stats = compact_refreshing(&kv, &mut s, &tag);
+    let v = kv.committed_version().0 + 1;
+    assert!(
+        kv.request_checkpoint(CheckpointVariant::FoldOver, false),
+        "{tag}"
+    );
+    assert!(faster_pump(&kv, &mut s, v, 0, &tag), "{tag}");
+    assert_eq!(kv.hlog().begin_address(), stats.until, "{tag}");
+    drop(s);
+    drop(kv);
+    model.insert(key, 777);
+    check_compacted_recovery(dir.path(), &model, stats.until, &tag);
+}
