@@ -133,7 +133,6 @@ fn run_one(t: usize, log_mb: u64, write_lat: Duration, read_lat: Duration) -> Ru
     let profile = IoProfile {
         write_latency: write_lat,
         read_latency: read_lat,
-        bandwidth: u64::MAX,
     };
     let target_bytes = log_mb * (1 << 20);
     // 4 MiB pages; keep every page in memory and mutable until the
@@ -151,8 +150,7 @@ fn run_one(t: usize, log_mb: u64, write_lat: Duration, read_lat: Duration) -> Ru
     let kv: FasterKv<Val> = FasterKv::builder(dir.path())
         .hlog(hlog)
         .index_buckets(1 << 16)
-        .write_queues(t)
-        .recovery_threads(t)
+        .io_threads(t)
         .io_profile(profile)
         .metrics(metrics.clone())
         .refresh_every(1 << 20)
@@ -195,8 +193,7 @@ fn run_one(t: usize, log_mb: u64, write_lat: Duration, read_lat: Duration) -> Ru
     let (kv2, manifest) = FasterKv::<Val>::builder(dir.path())
         .hlog(hlog)
         .index_buckets(1 << 16)
-        .write_queues(t)
-        .recovery_threads(t)
+        .io_threads(t)
         .io_profile(profile)
         .metrics(rec_metrics.clone())
         .recover()

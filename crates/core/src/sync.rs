@@ -93,10 +93,6 @@ impl NoWaitLock {
             w
         }
     }
-
-    pub fn is_locked(&self) -> bool {
-        self.word.load(Ordering::Acquire) != 0
-    }
 }
 
 #[cfg(test)]

@@ -123,7 +123,8 @@ fn try_wait_flush<V: Pod>(
             // Capture the volatile region into a separate file; offsets
             // (and in-place updatability) are untouched.
             let start = hl.flushed_durable();
-            let bytes = hl.read_range(start, lhe).ok()?;
+            let mut bytes = Vec::new();
+            hl.read_log_into(start, lhe, &mut bytes).ok()?;
             inner
                 .store
                 .write_file(ctx.token, "snapshot.dat", &bytes)
@@ -139,7 +140,7 @@ fn try_wait_flush<V: Pod>(
         };
         inner
             .metrics
-            .record_phase(name, inner.write_queues, t0.elapsed());
+            .record_phase(name, inner.io_threads, t0.elapsed());
     }
 
     let kind = match ctx.variant {

@@ -232,6 +232,7 @@ fn run_pass<V: Pod>(
     let trust = inner.compactor.trust_superseded;
     let mut candidates: Vec<Address> = Vec::with_capacity(BATCH);
     let mut bytes = Vec::new();
+    let mut walk = Vec::new();
     let mut value = vec![0u64; inner.value_words];
     let mut pace = Instant::now();
     for page in hl.layout.page(begin)..=hl.layout.page(t - 1) {
@@ -273,7 +274,7 @@ fn run_pass<V: Pod>(
                     continue; // no slot: the record is unreachable
                 };
                 batch.value(addr, &mut value);
-                if keep_if_newest(inner, part, &slot, addr, key, &value)? {
+                if keep_if_newest(inner, part, &slot, addr, key, &value, &mut walk)? {
                     stats.copied += 1;
                 }
             }
@@ -435,7 +436,8 @@ impl<'a, V: Pod> Prefetch<'a, V> {
 }
 
 /// If the record at `addr` is still `key`'s newest in the chain of
-/// `slot`, copy it (`value`) to the tail. Returns whether it copied.
+/// `slot`, copy it (`value`) to the tail. Returns whether it copied;
+/// `walk` is the chain walk's reused read buffer.
 fn keep_if_newest<V: Pod>(
     inner: &StoreInner<V>,
     part: &Participant,
@@ -443,11 +445,12 @@ fn keep_if_newest<V: Pod>(
     addr: Address,
     key: u64,
     value: &[u64],
+    walk: &mut Vec<u8>,
 ) -> io::Result<bool> {
     let hl = &inner.hlog;
     loop {
         let entry = slot.address();
-        if !newest_is(inner, entry, addr, key)? {
+        if !newest_is(inner, entry, addr, key, walk)? {
             return Ok(false);
         }
         let header = Header::new(entry, part.version);
@@ -463,12 +466,13 @@ fn keep_if_newest<V: Pod>(
 
 /// Whether `key`'s newest record in the chain from `entry` is at `addr`.
 /// Chain addresses only fall, so the walk stops at or below `addr`;
-/// records below `head` are read from the device.
+/// records below `head` are read from the device into `buf`.
 fn newest_is<V: Pod>(
     inner: &StoreInner<V>,
     entry: Address,
     addr: Address,
     key: u64,
+    buf: &mut Vec<u8>,
 ) -> io::Result<bool> {
     let hl = &inner.hlog;
     let head = hl.head();
@@ -477,10 +481,10 @@ fn newest_is<V: Pod>(
         let (h, k) = if at >= head {
             (hl.header_at(at), hl.key_at(at))
         } else {
-            let b = hl.read_durable(at, at + 16)?;
+            hl.read_log_into(at, at + 16, buf)?;
             (
-                Header::unpack(u64::from_le_bytes(b[..8].try_into().unwrap())),
-                u64::from_le_bytes(b[8..16].try_into().unwrap()),
+                Header::unpack(u64::from_le_bytes(buf[..8].try_into().unwrap())),
+                u64::from_le_bytes(buf[8..16].try_into().unwrap()),
             )
         };
         if !h.invalid && k == key {

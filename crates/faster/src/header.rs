@@ -113,16 +113,6 @@ impl RecordLayout {
     pub fn value_words(&self) -> usize {
         self.value_size.div_ceil(8)
     }
-
-    #[inline]
-    pub fn key_offset(&self) -> usize {
-        8
-    }
-
-    #[inline]
-    pub fn value_offset(&self) -> usize {
-        16
-    }
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cpr_epoch::{EpochManager, Guard};
-use cpr_storage::{Device, IoHandle};
+use cpr_storage::{Device, IoHandle, IO_CHUNK_BYTES};
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
@@ -215,11 +215,6 @@ struct FlushState {
     inflight: Vec<InflightFlush>,
 }
 
-/// Granularity of checkpoint-flush scatter-gather writes. Ranges at or
-/// below one chunk issue exactly one buffer, so small (test-sized)
-/// flushes behave byte-for-byte like the old single-write path.
-const FLUSH_CHUNK_BYTES: u64 = 1 << 20;
-
 struct InflightFlush {
     start: u64,
     target: u64,
@@ -298,11 +293,6 @@ impl HybridLog {
     }
     pub fn config(&self) -> &HlogConfig {
         &self.cfg
-    }
-
-    /// In-memory bytes currently addressable (tail − head).
-    pub fn in_memory_bytes(&self) -> u64 {
-        self.tail().saturating_sub(self.head())
     }
 
     #[inline]
@@ -500,31 +490,34 @@ impl HybridLog {
         );
     }
 
-    /// Queue device writes for `[enqueued, target)` as one scatter-gather
-    /// write of [`FLUSH_CHUNK_BYTES`]-sized buffers: on a pooled device
-    /// the chunks land on different writer queues and flush in parallel,
-    /// while a fault-injecting decorator still counts the whole range as
-    /// a single operation (its `write_vectored_at` concatenates).
+    /// Queue device writes for `[enqueued, target)`.
     fn enqueue_flush(&self, target: Address) {
         let mut st = self.flush_state.lock();
         if st.enqueued >= target {
             return;
         }
         let start = st.enqueued;
-        let mut bufs = Vec::new();
-        let mut at = start;
-        while at < target {
-            let next = (at + FLUSH_CHUNK_BYTES).min(target);
-            bufs.push(self.copy_range(at, next));
-            at = next;
-        }
-        let handle = self.device.write_vectored_at(start, bufs);
+        let handle = self.write_flush(start, target);
         st.inflight.push(InflightFlush {
             start,
             target,
             handle,
         });
         st.enqueued = target;
+    }
+
+    /// Write the resident range `[start, target)` as one scatter-gather
+    /// write of [`IO_CHUNK_BYTES`]-sized buffers: on a pooled device the
+    /// chunks land on different writer queues and flush in parallel,
+    /// while a fault-injecting decorator still counts the whole range as
+    /// a single operation (its `write_vectored_at` concatenates). A
+    /// range of at most one chunk is one buffer.
+    fn write_flush(&self, start: Address, target: Address) -> IoHandle {
+        let bufs = (start..target)
+            .step_by(IO_CHUNK_BYTES as usize)
+            .map(|at| self.copy_range(at, (at + IO_CHUNK_BYTES).min(target)))
+            .collect();
+        self.device.write_vectored_at(start, bufs)
     }
 
     /// Flush I/O errors observed so far (see [`Self::wait_flushed`]).
@@ -551,17 +544,10 @@ impl HybridLog {
                 Err(_) => {
                     self.flush_failures.fetch_add(1, Ordering::AcqRel);
                     let (start, target) = (f.start, f.target);
-                    let mut bufs = Vec::new();
-                    let mut at = start;
-                    while at < target {
-                        let next = (at + FLUSH_CHUNK_BYTES).min(target);
-                        bufs.push(self.copy_range(at, next));
-                        at = next;
-                    }
                     st.inflight[0] = InflightFlush {
                         start,
                         target,
-                        handle: self.device.write_vectored_at(start, bufs),
+                        handle: self.write_flush(start, target),
                     };
                     break;
                 }
@@ -614,33 +600,10 @@ impl HybridLog {
         out
     }
 
-    /// Read `[start, end)` from the durable log image on the device,
-    /// bypassing in-memory frames. Only valid below [`Self::head`]:
-    /// after [`Self::restore_at`] the recovered prefix exists *only* on
-    /// the device (the tail page's frame is zeroed), so frame-first
-    /// reads of that region see slack. The [`Device::read_at`] contract
-    /// zero-fills past the physical end of the file, so a freshly
-    /// truncated or sparse `log.dat` reads as "no record" rather than
-    /// failing with a short read.
-    pub fn read_durable(&self, start: Address, end: Address) -> io::Result<Vec<u8>> {
-        assert!(start <= end);
-        let mut buf = vec![0u8; (end - start) as usize];
-        self.device.read_at(start, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Copy `[start, end)` tolerating concurrent eviction: pages are read
-    /// from their frame when resident, from the device otherwise (an
-    /// evicted page is flushed by construction). Used by snapshot commits,
-    /// whose source region may be flushed+evicted mid-copy. Device read
-    /// errors (e.g. injected faults) propagate so the caller can abort.
-    pub fn read_range(&self, start: Address, end: Address) -> io::Result<Vec<u8>> {
-        let mut out = vec![0u8; (end - start) as usize];
-        self.read_range_into(start, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::read_range`] of `[start, start + out.len())` into `out`.
+    /// Copy `[start, start + out.len())` into `out` tolerating concurrent
+    /// eviction: pages are read from their frame when resident, from the
+    /// device otherwise (an evicted page is flushed by construction).
+    /// Device read errors (e.g. injected faults) propagate.
     fn read_range_into(&self, start: Address, out: &mut [u8]) -> io::Result<()> {
         let end = start + out.len() as u64;
         let mut addr = start;
@@ -678,15 +641,17 @@ impl HybridLog {
     /// one buffer): below `head` from the device (after
     /// [`Self::restore_at`] that is the only copy of the recovered prefix,
     /// even on the tail page), at or above it from the frames, falling
-    /// back to the device for pages evicted meanwhile (see
-    /// [`Self::read_range`]).
+    /// back to the device for pages evicted meanwhile. Device read errors
+    /// (e.g. injected faults) propagate so the caller can abort.
     pub fn read_log_into(&self, start: Address, end: Address, out: &mut Vec<u8>) -> io::Result<()> {
         assert!(start <= end);
         out.clear();
         out.resize((end - start) as usize, 0);
         let head = self.head().clamp(start, end);
         let (below, above) = out.split_at_mut((head - start) as usize);
-        self.device.read_at(start, below)?;
+        if !below.is_empty() {
+            self.device.read_at(start, below)?;
+        }
         self.read_range_into(head, above)
     }
 

@@ -17,15 +17,16 @@
 //! ## Partitioned scan
 //!
 //! The `[S, E)` scan is embarrassingly parallel: `[S, E)` is split into
-//! page-aligned chunks pulled from a shared counter by
-//! `recovery_threads` workers. Each worker reduces its chunks to a
-//! per-slot summary — `(max valid address, lowest v + 1 address and its
-//! prev pointer)` — and issues the idempotent invalid-marker writes for
-//! its own chunks. The summaries merge with `(max, min-by-address)`,
-//! which is commutative and associative, and are applied to the index
-//! sequentially in sorted hash order. The same collect-then-merge path
-//! runs at every thread count (including 1), so the recovered index and
-//! log bytes are identical no matter how many workers ran.
+//! page-aligned chunks pulled from a shared counter by up to
+//! `io_threads` workers, never more workers than chunks. Each worker
+//! reduces its chunks to a per-slot summary — `(max valid address,
+//! lowest v + 1 address and its prev pointer)` — and issues the
+//! idempotent invalid-marker writes for its own chunks. The summaries
+//! merge with `(max, min-by-address)`, which is commutative and
+//! associative, and are applied to the index sequentially in sorted hash
+//! order. The same collect-then-merge path runs at every thread count
+//! (including 1), so the recovered index and log bytes are identical no
+//! matter how many workers ran.
 //!
 //! ## Crash safety of recovery itself
 //!
@@ -45,18 +46,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cpr_core::{CheckpointKind, CheckpointManifest, Pod};
-use cpr_storage::{CheckpointStore, Device, FaultDevice, FileDevice};
+use cpr_storage::{fan_out, CheckpointStore, Device, FaultDevice, FileDevice, IO_CHUNK_BYTES};
 
 use crate::addr::PageLayout;
 use crate::header::{version13, Header, RecordLayout};
 use crate::hlog::segment_bits;
 use crate::index::{key_hash, HashIndex};
 use crate::store::{FasterKv, FasterOptions};
-
-/// Target bytes per scan chunk / normalization write. One device read
-/// per chunk; small enough to spread a log across workers, large enough
-/// to amortize per-read latency.
-const RECOVERY_CHUNK_BYTES: u64 = 1 << 20;
 
 /// What the scan learned about one hash slot: the fold of every record
 /// for the slot in address order, reduced to the two numbers the apply
@@ -99,7 +95,7 @@ pub(crate) fn recover<V: Pod>(
     let base: Arc<dyn Device> = Arc::new(FileDevice::open_segmented(
         opts.dir.join("log.dat"),
         segment_bits(opts.hlog.page_bits),
-        opts.write_queues,
+        opts.io_threads,
         opts.io_profile,
     )?);
     let device: Arc<dyn Device> = match &opts.fault {
@@ -120,7 +116,7 @@ pub(crate) fn recover<V: Pod>(
         let bytes = cs.read_file(m_log.token, "snapshot.dat")?;
         let mut off = 0usize;
         while off < bytes.len() {
-            let end = (off + RECOVERY_CHUNK_BYTES as usize).min(bytes.len());
+            let end = (off + IO_CHUNK_BYTES as usize).min(bytes.len());
             device
                 .write_at(start + off as u64, bytes[off..end].to_vec())
                 .wait()?;
@@ -164,12 +160,11 @@ pub(crate) fn recover<V: Pod>(
 
     // Scan [s, e): page-aligned chunks handed to a worker pool, merged
     // into one per-slot summary map.
-    let threads = opts.recovery_threads.max(1);
     let t_scan = metrics_on.then(std::time::Instant::now);
-    let merged = scan_partitioned(&device, &layout, rec_size, vnext13, s, e, threads)?;
+    let merged = scan_partitioned(&device, &layout, rec_size, vnext13, s, e, opts.io_threads)?;
     if let Some(t0) = t_scan {
         opts.metrics
-            .record_phase("recovery.scan", threads, t0.elapsed());
+            .record_phase("recovery.scan", opts.io_threads, t0.elapsed());
     }
 
     // Apply summaries to the index in sorted hash order (BTreeMap
@@ -209,7 +204,7 @@ pub(crate) fn recover<V: Pod>(
     Ok((kv, Some(m_log)))
 }
 
-/// Scan `[s, e)` with `threads` workers over page-aligned chunks and
+/// Scan `[s, e)` with up to `threads` workers over page-aligned chunks and
 /// return the merged per-slot summaries. Workers also rewrite the
 /// headers of version-v+1 records with the invalid bit set (idempotent
 /// 8-byte writes at disjoint addresses; chunks never split a record).
@@ -226,14 +221,14 @@ fn scan_partitioned(
         return Ok(BTreeMap::new());
     }
     let psz = layout.page_size();
-    let chunk_pages = (RECOVERY_CHUNK_BYTES / psz).max(1);
+    let chunk_pages = (IO_CHUNK_BYTES / psz).max(1);
     let chunk_bytes = chunk_pages * psz;
     let chunk0 = layout.page_start(layout.page(s));
     let nchunks = (e - chunk0).div_ceil(chunk_bytes);
 
     let next = AtomicU64::new(0);
     let failed = AtomicBool::new(false);
-    let worker = |_w: usize| -> io::Result<BTreeMap<u64, SlotOutcome>> {
+    let worker = || -> io::Result<BTreeMap<u64, SlotOutcome>> {
         let mut local: BTreeMap<u64, SlotOutcome> = BTreeMap::new();
         let mut buf: Vec<u8> = Vec::new();
         let mut markers: Vec<cpr_storage::IoHandle> = Vec::new();
@@ -268,33 +263,13 @@ fn scan_partitioned(
         Ok(local)
     };
 
-    let results: Vec<io::Result<BTreeMap<u64, SlotOutcome>>> = if threads == 1 {
-        vec![worker(0)]
-    } else {
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let worker = &worker;
-                    let failed = &failed;
-                    sc.spawn(move || {
-                        let r = worker(w);
-                        if r.is_err() {
-                            failed.store(true, Ordering::Release);
-                        }
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("recovery worker panicked"))
-                .collect()
-        })
-    };
+    let results = fan_out(threads, nchunks as usize, |_, _| {
+        worker().inspect_err(|_| failed.store(true, Ordering::Release))
+    })?;
 
     let mut merged: BTreeMap<u64, SlotOutcome> = BTreeMap::new();
     for r in results {
-        for (hash, o) in r? {
+        for (hash, o) in r {
             merged.entry(hash).or_default().merge(o);
         }
     }

@@ -60,8 +60,7 @@ pub(crate) struct FasterOptions<V: Pod> {
     pub refresh_every: u64,
     pub grain: VersionGrain,
     pub max_sessions: usize,
-    pub write_queues: usize,
-    pub recovery_threads: usize,
+    pub io_threads: usize,
     pub io_profile: IoProfile,
     pub rmw: fn(V, V) -> V,
     pub fault: Option<Arc<FaultInjector>>,
@@ -83,8 +82,7 @@ impl<V: Pod> FasterOptions<V> {
             refresh_every: 64,
             grain: VersionGrain::Fine,
             max_sessions: 64,
-            write_queues: cpr_storage::env_io_threads(),
-            recovery_threads: cpr_storage::env_io_threads(),
+            io_threads: cpr_storage::env_io_threads(),
             io_profile: IoProfile::NONE,
             rmw: |_old, input| input,
             fault: None,
@@ -172,18 +170,13 @@ impl<V: Pod> FasterBuilder<V> {
         self.opts.max_sessions = n;
         self
     }
-    /// Writer queues for the log device: checkpoint flushes stripe their
-    /// chunks across this many writer threads (default: the
-    /// `CPR_IO_THREADS` environment variable, 1 when unset).
-    pub fn write_queues(mut self, n: usize) -> Self {
-        self.opts.write_queues = n.max(1);
-        self
-    }
-    /// Worker threads for the recovery scan of `[S, E)` (default: the
-    /// `CPR_IO_THREADS` environment variable, 1 when unset). The
-    /// recovered state is byte-identical at any thread count.
-    pub fn recovery_threads(mut self, n: usize) -> Self {
-        self.opts.recovery_threads = n.max(1);
+    /// Threads for large I/O passes (default: [`cpr_storage::env_io_threads`],
+    /// 1 unless `CPR_IO_THREADS` says otherwise): the log device's writer
+    /// queues, which checkpoint flushes stripe their chunks across, the
+    /// striped checkpoint file writes, and the recovery scan of `[S, E)`.
+    /// Checkpoint and recovered bytes are identical at any count.
+    pub fn io_threads(mut self, n: usize) -> Self {
+        self.opts.io_threads = n.max(1);
         self
     }
     /// Simulated device speed profile for the log device (benchmarks).
@@ -280,8 +273,9 @@ pub(crate) struct StoreInner<V: Pod> {
     pub(crate) last_phase_marks: Mutex<Vec<(Phase, Duration)>>,
     pub(crate) refresh_every: u64,
     pub(crate) grain: VersionGrain,
-    /// Log-device writer queues (for flush phase-timing attribution).
-    pub(crate) write_queues: usize,
+    /// I/O threads: log-device writer queues (for flush phase-timing
+    /// attribution).
+    pub(crate) io_threads: usize,
     pub(crate) rmw: fn(V, V) -> V,
     pub(crate) value_words: usize,
     /// Observability sink (no-op unless enabled at open time).
@@ -325,7 +319,7 @@ impl<V: Pod> FasterKv<V> {
         let base: Arc<dyn Device> = Arc::new(FileDevice::create_segmented(
             opts.dir.join("log.dat"),
             segment_bits(opts.hlog.page_bits),
-            opts.write_queues,
+            opts.io_threads,
             opts.io_profile,
         )?);
         let device: Arc<dyn Device> = match &opts.fault {
@@ -363,7 +357,8 @@ impl<V: Pod> FasterKv<V> {
         };
         let latch_count = index.bucket_count();
         let store = CheckpointStore::open_with(opts.dir.join("checkpoints"), opts.fault.clone())?
-            .with_metrics(Arc::clone(&opts.metrics));
+            .with_metrics(Arc::clone(&opts.metrics))
+            .with_io_threads(opts.io_threads);
         let io = IoPool::new(device, IO_THREADS);
         let inner = Arc::new(StoreInner {
             latches: (0..latch_count).map(|_| NoWaitLock::new()).collect(),
@@ -384,7 +379,7 @@ impl<V: Pod> FasterKv<V> {
             last_phase_marks: Mutex::new(Vec::new()),
             refresh_every: opts.refresh_every,
             grain: opts.grain,
-            write_queues: opts.write_queues,
+            io_threads: opts.io_threads,
             rmw: opts.rmw,
             value_words: crate::header::RecordLayout::new(opts.hlog.value_size).value_words(),
             metrics: opts.metrics,
@@ -546,11 +541,6 @@ impl<V: Pod> FasterKv<V> {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
-    }
-
-    /// Bytes written to the main log device so far.
-    pub fn log_durable(&self) -> u64 {
-        self.inner.hlog.flushed_durable()
     }
 
     pub fn hlog(&self) -> &Arc<HybridLog> {

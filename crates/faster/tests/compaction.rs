@@ -164,7 +164,7 @@ fn compaction_keeps_the_data(variant: CheckpointVariant, grain: VersionGrain) {
     let mut digests = Vec::new();
     for threads in [1, 2, 4] {
         let (kv, m) = opts(dir.path(), grain)
-            .recovery_threads(threads)
+            .io_threads(threads)
             .recover()
             .unwrap();
         let m = m.expect("committed");

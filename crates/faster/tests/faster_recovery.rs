@@ -420,3 +420,52 @@ fn continue_unknown_session_starts_fresh() {
     assert_eq!(point, 0);
     assert_eq!(s.serial(), 0);
 }
+
+/// The recovery scan runs no more workers than its suffix has 1 MiB
+/// chunks: eight I/O threads over a one- or two-chunk suffix recover the
+/// same index as one.
+#[test]
+fn io_threads_beyond_the_suffix_chunks_recover_the_same_index() {
+    let grain = VersionGrain::Fine;
+    for (keys, chunks) in [(100u64, 1u64), (50_000, 2)] {
+        let dir = tempfile::tempdir().unwrap();
+        let mk = || opts(dir.path(), grain).index_buckets(1 << 14);
+        {
+            let kv = mk().open().unwrap();
+            let mut s = kv.start_session(1);
+            // A full commit whose index checkpoint the suffix starts at...
+            s.upsert(u64::MAX, 0);
+            assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, false));
+            while kv.committed_version() < 1 {
+                s.refresh();
+            }
+            // ...then `keys` appended records and a log-only commit.
+            for k in 0..keys {
+                s.upsert(k, k + 1);
+            }
+            assert!(kv.request_checkpoint(CheckpointVariant::FoldOver, true));
+            while kv.committed_version() < 2 {
+                s.refresh();
+            }
+        }
+        let mut digests = Vec::new();
+        for threads in [1, 8] {
+            let (kv, m) = mk().io_threads(threads).recover().unwrap();
+            digests.push(kv.index_digest());
+            let m = m.expect("committed");
+            assert!(m.index_begin.is_none(), "log-only commit");
+            // The suffix starts on page 0, so it spans `chunks` chunks.
+            assert_eq!(m.log_end.unwrap().div_ceil(1 << 20), chunks);
+            let (mut s, point) = kv.continue_session(1);
+            assert_eq!(point, keys + 1);
+            for k in [0, keys / 2, keys - 1] {
+                assert_eq!(
+                    read_now(&mut s, k),
+                    Some(k + 1),
+                    "key {k}, {threads} threads"
+                );
+            }
+        }
+        assert_eq!(digests[0], digests[1], "{keys} keys");
+    }
+}

@@ -22,7 +22,7 @@ use std::sync::atomic::Ordering;
 
 use cpr_core::commit::finish_flush;
 use cpr_core::{CheckpointKind, CheckpointManifest};
-use cpr_storage::CheckpointStore;
+use cpr_storage::{fan_out, CheckpointStore};
 
 use crate::db::DbInner;
 use crate::error::RecoveryError;
@@ -94,7 +94,7 @@ fn try_capture<V: DbValue>(inner: &DbInner<V>, v: u64) -> Option<CheckpointManif
         .metrics
         .is_enabled()
         .then(std::time::Instant::now);
-    let shards = serialize(inner, v, base, inner.opts.capture_threads);
+    let shards = serialize(inner, v, base, inner.opts.io_threads).ok();
     let Some(shards) = shards.filter(|_| !inner.capture_abort.swap(false, Ordering::AcqRel)) else {
         let _ = store.abort(token);
         return None;
@@ -134,45 +134,32 @@ struct Shard {
     count: u64,
 }
 
-/// Serialize the version-`v` images across `threads` workers, each
+/// Serialize the version-`v` images across up to `threads` workers, each
 /// taking one contiguous slot range. The shards, written in order after
 /// the count, are the record entries of `db.dat` in slot order, so the
-/// checkpoint bytes are identical at any thread count. `None` if the
-/// watchdog aborted the pass.
+/// checkpoint bytes are identical at any thread count. An `Interrupted`
+/// error if the watchdog aborted the pass.
 fn serialize<V: DbValue>(
     inner: &DbInner<V>,
     v: u64,
     base: Option<u64>,
     threads: usize,
-) -> Option<Vec<Shard>> {
+) -> io::Result<Vec<Shard>> {
     let slots = inner.table.slot_count();
-    let threads = threads.clamp(1, slots.max(1));
-    let shard = |w: usize| {
-        let range = slots * w / threads..slots * (w + 1) / threads;
-        capture_shard(inner, v, base, range)
-    };
-    std::thread::scope(|sc| {
-        let shard = &shard;
-        let rest: Vec<_> = (1..threads).map(|w| sc.spawn(move || shard(w))).collect();
-        // This thread takes the first range itself.
-        std::iter::once(shard(0))
-            .chain(
-                rest.into_iter()
-                    .map(|h| h.join().expect("capture shard panicked")),
-            )
-            .collect()
+    fan_out(threads, slots, |w, n| {
+        capture_shard(inner, v, base, slots * w / n..slots * (w + 1) / n)
     })
 }
 
 /// Serialize the version-`v` images of the records in slots `range`
-/// into a buffer sized for every slot in it. `None` if the watchdog
-/// aborted the pass.
+/// into a buffer sized for every slot in it. An `Interrupted` error if
+/// the watchdog aborted the pass.
 fn capture_shard<V: DbValue>(
     inner: &DbInner<V>,
     v: u64,
     base: Option<u64>,
     range: std::ops::Range<usize>,
-) -> Option<Shard> {
+) -> io::Result<Shard> {
     let mut bytes: Vec<u8> = Vec::with_capacity(range.len() * (16 + std::mem::size_of::<V>()));
     let mut count = 0u64;
     let mut aborted = false;
@@ -219,12 +206,18 @@ fn capture_shard<V: DbValue>(
         cpr_core::pod_write(&value, &mut bytes);
         count += 1;
     });
-    (!aborted).then_some(Shard { bytes, count })
+    if aborted {
+        return Err(io::Error::new(
+            io::ErrorKind::Interrupted,
+            "capture aborted",
+        ));
+    }
+    Ok(Shard { bytes, count })
 }
 
 /// Load a checkpoint produced by [`capture`] into a fresh database.
 ///
-/// The record entries are split across `recovery_threads` workers: every
+/// The record entries are split across the I/O threads: every
 /// key appears at most once per checkpoint file, so workers touch
 /// disjoint records and the result is independent of thread count. A
 /// record found locked surfaces as [`RecoveryError::RecordLocked`]
@@ -295,35 +288,21 @@ pub(crate) fn load<V: DbValue>(
         Ok(())
     };
 
-    let threads = inner.opts.recovery_threads.clamp(1, count.max(1));
     let t0 = inner
         .opts
         .metrics
         .is_enabled()
         .then(std::time::Instant::now);
-    let result = if threads == 1 {
-        load_range(0, count)
-    } else {
-        std::thread::scope(|sc| {
-            (0..threads)
-                .map(|w| {
-                    let lo = count * w / threads;
-                    let hi = count * (w + 1) / threads;
-                    let load_range = &load_range;
-                    sc.spawn(move || load_range(lo, hi))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .try_for_each(|h| h.join().expect("load worker panicked"))
-        })
-    };
+    let result = fan_out(inner.opts.io_threads, count, |w, n| {
+        load_range(count * w / n, count * (w + 1) / n)
+    });
     if let Some(t0) = t0 {
         inner
             .opts
             .metrics
-            .record_phase("recovery.load", threads, t0.elapsed());
+            .record_phase("recovery.load", inner.opts.io_threads, t0.elapsed());
     }
-    result
+    result.map(|_| ())
 }
 
 /// Replay a WAL generation file: apply every redo record in append order
@@ -433,7 +412,7 @@ mod tests {
         let db: MemDb<u64> = MemDb::builder(Durability::Cpr)
             .dir(dir.path())
             .capacity(64)
-            .capture_threads(1)
+            .io_threads(1)
             .open()
             .unwrap();
         std::thread::scope(|sc| {

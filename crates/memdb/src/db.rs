@@ -66,8 +66,7 @@ pub(crate) struct MemDbOptions {
     pub fault: Option<Arc<FaultInjector>>,
     pub liveness: Option<LivenessConfig>,
     pub metrics: Arc<Registry>,
-    pub capture_threads: usize,
-    pub recovery_threads: usize,
+    pub io_threads: usize,
 }
 
 impl MemDbOptions {
@@ -84,8 +83,7 @@ impl MemDbOptions {
             fault: None,
             liveness: None,
             metrics: Registry::noop(),
-            capture_threads: cpr_storage::env_io_threads(),
-            recovery_threads: cpr_storage::env_io_threads(),
+            io_threads: cpr_storage::env_io_threads(),
         }
     }
 }
@@ -194,18 +192,13 @@ impl<V: DbValue> MemDbBuilder<V> {
         self.opts.metrics = registry;
         self
     }
-    /// Worker threads for checkpoint capture serialization (default: the
-    /// `CPR_IO_THREADS` environment variable, 1 when unset). The
-    /// checkpoint bytes are identical at any thread count.
-    pub fn capture_threads(mut self, n: usize) -> Self {
-        self.opts.capture_threads = n.max(1);
-        self
-    }
-    /// Worker threads for checkpoint load during recovery (default: the
-    /// `CPR_IO_THREADS` environment variable, 1 when unset). The
-    /// recovered state is identical at any thread count.
-    pub fn recovery_threads(mut self, n: usize) -> Self {
-        self.opts.recovery_threads = n.max(1);
+    /// Threads for large I/O passes (default: [`cpr_storage::env_io_threads`],
+    /// 1 unless `CPR_IO_THREADS` says otherwise): checkpoint capture
+    /// serialization, the striped checkpoint file write, and checkpoint
+    /// load during recovery. Checkpoint bytes and recovered state are
+    /// identical at any count.
+    pub fn io_threads(mut self, n: usize) -> Self {
+        self.opts.io_threads = n.max(1);
         self
     }
     /// Open a fresh database.
@@ -269,8 +262,10 @@ impl<V: DbValue> MemDb<V> {
     fn open_at_version(opts: MemDbOptions, version: u64) -> io::Result<Self> {
         let store = match (&opts.durability, &opts.dir) {
             (Durability::Cpr | Durability::Calc, Some(dir)) => {
-                let store = CheckpointStore::open_with(dir, opts.fault.clone())?;
-                Some(store.with_metrics(Arc::clone(&opts.metrics)))
+                let store = CheckpointStore::open_with(dir, opts.fault.clone())?
+                    .with_metrics(Arc::clone(&opts.metrics))
+                    .with_io_threads(opts.io_threads);
+                Some(store)
             }
             (Durability::Cpr | Durability::Calc, None) => {
                 return Err(io::Error::new(
@@ -390,29 +385,6 @@ impl<V: DbValue> MemDb<V> {
         self.inner
             .table
             .insert(key, self.inner.core.state.version(), value);
-    }
-
-    /// Pre-load unless present (used when re-seeding after recovery).
-    pub fn load_if_absent(&self, key: u64, value: V) {
-        if self.inner.table.get(key).is_none() {
-            // Benign race with another loader: `insert` would panic, so go
-            // through the tolerant path and initialize via a write.
-            let version = self.inner.core.state.version();
-            let (rec, _) = self.inner.table.get_or_insert(key, version, value);
-            if rec.birth() == 0 {
-                loop {
-                    if rec.lock.try_exclusive() {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                if rec.birth() == 0 {
-                    rec.write_live(value);
-                    rec.set_birth_if_unset(version);
-                }
-                rec.lock.release_exclusive();
-            }
-        }
     }
 
     /// Number of records (including uninitialized placeholders).
@@ -630,11 +602,6 @@ impl<V: DbValue> MemDb<V> {
     /// Wall-clock duration of the most recent capture pass.
     pub fn last_capture_duration(&self) -> Option<Duration> {
         *self.inner.last_capture.lock()
-    }
-
-    /// WAL durable horizon in bytes (WAL mode only).
-    pub fn wal_durable_bytes(&self) -> Option<u64> {
-        self.inner.wal.as_ref().map(|w| w.durable())
     }
 
     /// Snapshot of the metrics registry this database reports into:

@@ -1,8 +1,6 @@
 //! Per-client execution statistics and the time breakdown of paper
 //! Figs. 10e / 16e / 17e.
 
-use std::time::Duration;
-
 /// Counters and (optionally) a time breakdown collected by one client.
 ///
 /// The breakdown buckets mirror the paper's profile: **Exec** (in-memory
@@ -75,10 +73,6 @@ impl ClientStats {
             self.tail_ns as f64 / total,
             self.log_write_ns as f64 / total,
         ]
-    }
-
-    pub fn profiled_time(&self) -> Duration {
-        Duration::from_nanos(self.exec_ns + self.abort_ns + self.tail_ns + self.log_write_ns)
     }
 }
 

@@ -56,7 +56,7 @@ fn newest_db_dat(dir: &Path) -> Vec<u8> {
 fn recovery_and_capture_are_independent_of_thread_counts() {
     let dir = tempfile::tempdir().unwrap();
     let (state, bytes) = {
-        let db = builder(dir.path()).capture_threads(1).open().unwrap();
+        let db = builder(dir.path()).io_threads(1).open().unwrap();
         grow(&db);
         assert_eq!(db.len(), ROWS as usize);
         commit(&db);
@@ -65,11 +65,7 @@ fn recovery_and_capture_are_independent_of_thread_counts() {
     assert_eq!(state.len(), ROWS as usize);
 
     for threads in [1usize, 2, 4] {
-        let (db, manifest) = builder(dir.path())
-            .recovery_threads(threads)
-            .capture_threads(threads)
-            .recover()
-            .unwrap();
+        let (db, manifest) = builder(dir.path()).io_threads(threads).recover().unwrap();
         assert!(manifest.is_some());
         assert!(db.scan_all() == state, "{threads} recovery threads");
         // Recovery lays the records out in file order, so a full

@@ -102,7 +102,7 @@ impl NetServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
-        let workers = Arc::new(Mutex::new(Vec::new()));
+        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         // Push a commit point to every connected session named in the
         // manifest. Runs on the checkpoint thread; sends are unbounded
@@ -141,7 +141,12 @@ impl NetServer {
                                 let _ = Connection::run(engine, stream, conns, stop);
                             })
                             .expect("spawn connection thread");
-                        workers.lock().push(handle);
+                        // Drop the handles of connections that ended, so
+                        // the server holds one per live connection, not one
+                        // per connection it ever accepted.
+                        let mut workers = workers.lock();
+                        workers.retain(|h| !h.is_finished());
+                        workers.push(handle);
                     }
                 })?
         };
@@ -436,4 +441,30 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Outbound>) {
 
 fn send_now(stream: &mut TcpStream, frame: &Frame) {
     let _ = stream.write_all(&frame.encode());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetClient;
+    use cpr_memdb::{Durability, MemDb};
+
+    #[test]
+    fn finished_connection_threads_are_released() {
+        let dir = tempfile::tempdir().unwrap();
+        let db = MemDb::<u64>::builder(Durability::Cpr)
+            .dir(dir.path())
+            .open()
+            .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = NetServer::serve(Arc::new(db), listener).unwrap();
+        for guid in 0..64 {
+            NetClient::connect(server.addr(), guid)
+                .unwrap()
+                .goodbye()
+                .unwrap();
+        }
+        let held = server.workers.lock().len();
+        assert!(held < 8, "{held} connection handles held after 64 goodbyes");
+    }
 }

@@ -24,7 +24,7 @@
 //! after every durable checkpoint and returns during the resume
 //! handshake.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use cpr_core::CommitPoint;
 
@@ -419,11 +419,6 @@ impl Frame {
         c.done()?;
         Ok(frame)
     }
-}
-
-/// Write one frame to the socket (length prefix + body).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    w.write_all(&frame.encode())
 }
 
 /// Initial size of a [`FrameReader`]'s buffer; it grows to fit a larger

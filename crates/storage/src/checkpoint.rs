@@ -35,6 +35,10 @@ use cpr_core::CheckpointManifest;
 use parking_lot::Mutex;
 
 use crate::fault::{FaultInjector, IoVerdict};
+use crate::{fan_out, IO_CHUNK_BYTES};
+
+/// Smallest file body, in I/O chunks, that is striped across writers.
+const STRIPE_MIN_CHUNKS: u64 = 8;
 
 /// A directory of committed checkpoints.
 pub struct CheckpointStore {
@@ -46,6 +50,8 @@ pub struct CheckpointStore {
     open: Mutex<BTreeSet<u64>>,
     injector: Option<Arc<FaultInjector>>,
     metrics: Option<Arc<cpr_metrics::Registry>>,
+    /// Writers a large file body is striped over (see `write_body`).
+    io_threads: usize,
 }
 
 impl CheckpointStore {
@@ -69,7 +75,16 @@ impl CheckpointStore {
             open: Mutex::new(BTreeSet::new()),
             injector,
             metrics: None,
+            io_threads: 1,
         })
+    }
+
+    /// Stripe file bodies of at least 8 I/O chunks (8 MiB) across `n`
+    /// positioned writers (default 1: every write is serial). The store
+    /// that opens the checkpoint store passes its I/O thread setting.
+    pub fn with_io_threads(mut self, n: usize) -> Self {
+        self.io_threads = n.max(1);
+        self
     }
 
     /// Attach a metrics registry: every checkpoint file write records
@@ -106,7 +121,7 @@ impl CheckpointStore {
                 IoVerdict::Ok => {}
                 IoVerdict::Fail | IoVerdict::Crashed => return Err(inj.error()),
                 IoVerdict::Torn { keep } => {
-                    Self::write_body(path, parts, keep.min(len))?;
+                    self.write_body(path, parts, keep.min(len))?;
                     return Err(inj.error());
                 }
                 IoVerdict::Delay { millis } => {
@@ -115,39 +130,28 @@ impl CheckpointStore {
             }
         }
         let tmp = path.with_extension("tmp");
-        Self::write_body(&tmp, parts, len)?;
+        self.write_body(&tmp, parts, len)?;
         fs::File::open(&tmp)?.sync_data()?;
         fs::rename(&tmp, path)?;
         Ok(())
     }
 
     /// Write the first `len` bytes of the concatenated `parts` as the
-    /// file body, striping large payloads across `CPR_IO_THREADS`
-    /// positioned writers. The fault verdict was already drawn by the
-    /// caller — whole-file atomicity (temp + rename) and one-op
-    /// accounting are unchanged; only the copy is parallel.
-    fn write_body(path: &Path, parts: &[&[u8]], len: usize) -> io::Result<()> {
-        const PARALLEL_THRESHOLD: usize = 8 << 20;
-        let threads = crate::device::env_io_threads();
+    /// file body, striping large payloads across the store's I/O
+    /// threads. The fault verdict was already drawn by the caller —
+    /// whole-file atomicity (temp + rename) and one-op accounting are
+    /// unchanged; only the copy is parallel.
+    fn write_body(&self, path: &Path, parts: &[&[u8]], len: usize) -> io::Result<()> {
         let file = fs::File::create(path)?;
-        if threads <= 1 || len < PARALLEL_THRESHOLD {
+        if self.io_threads <= 1 || (len as u64) < STRIPE_MIN_CHUNKS * IO_CHUNK_BYTES {
             return write_range(&file, parts, 0..len);
         }
         file.set_len(len as u64)?;
-        let chunk = len.div_ceil(threads);
-        std::thread::scope(|s| {
-            let joins: Vec<_> = (0..len)
-                .step_by(chunk)
-                .map(|lo| {
-                    let file = &file;
-                    s.spawn(move || write_range(file, parts, lo..(lo + chunk).min(len)))
-                })
-                .collect();
-            for j in joins {
-                j.join().expect("checkpoint writer panicked")?;
-            }
-            Ok(())
-        })
+        let chunks = len.div_ceil(IO_CHUNK_BYTES as usize);
+        fan_out(self.io_threads, chunks, |w, n| {
+            write_range(&file, parts, len * w / n..len * (w + 1) / n)
+        })?;
+        Ok(())
     }
 
     /// Committed tokens under `root`, unordered.
@@ -653,6 +657,24 @@ mod tests {
             std::fs::read(store.file(t, "torn.dat")).unwrap(),
             b"head-mi"
         );
+    }
+
+    #[test]
+    fn striped_write_is_byte_identical_and_one_op() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        let dir = tempfile::tempdir().unwrap();
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
+        let store = CheckpointStore::open_with(dir.path(), Some(Arc::clone(&inj)))
+            .unwrap()
+            .with_io_threads(4);
+        let t = store.begin().unwrap();
+        // 8 MiB and a bit, in uneven parts, so stripes cross part edges.
+        let len = (STRIPE_MIN_CHUNKS * IO_CHUNK_BYTES) as usize + 4097;
+        let joined: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let parts: Vec<&[u8]> = vec![&joined[..3], &joined[3..5_000_000], &joined[5_000_000..]];
+        store.write_file_parts(t, "db.dat", &parts).unwrap();
+        assert_eq!(inj.op_count(), 1, "a striped write is one storage op");
+        assert!(std::fs::read(store.file(t, "db.dat")).unwrap() == joined);
     }
 
     #[test]

@@ -19,50 +19,28 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 
-/// Writes are striped over writer queues in units of this many bytes.
-/// Two writes whose start offsets share a stripe land on the same queue
-/// and therefore apply in issue order.
-pub const WRITE_STRIPE_BITS: u32 = 20;
+use crate::IO_CHUNK_BYTES;
 
-/// Writer-pool width taken from the `CPR_IO_THREADS` environment
-/// variable (also the default recovery-scan and capture parallelism in
-/// the engines). Defaults to 1 — fully serial, the behaviour every
-/// deterministic fault-schedule test was written against.
-pub fn env_io_threads() -> usize {
-    std::env::var("CPR_IO_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, 64))
-        .unwrap_or(1)
-}
-
-/// Simulated device speed: per-operation latencies plus write bandwidth.
-/// Used by benchmarks to model disk-like storage on hosts whose page
-/// cache would otherwise absorb everything.
+/// Simulated device speed: per-operation latencies. Used by benchmarks
+/// to model disk-like storage on hosts whose page cache would otherwise
+/// absorb everything.
 #[derive(Clone, Copy, Debug)]
 pub struct IoProfile {
     /// Added to every write job, on the writer thread that executes it.
     pub write_latency: Duration,
     /// Added to every `read_at`, on the calling thread.
     pub read_latency: Duration,
-    /// Bytes per second per writer queue (`u64::MAX` = unthrottled).
-    pub bandwidth: u64,
 }
 
 impl IoProfile {
     pub const NONE: IoProfile = IoProfile {
         write_latency: Duration::ZERO,
         read_latency: Duration::ZERO,
-        bandwidth: u64::MAX,
     };
 
-    fn throttle_write(&self, bytes: usize) {
+    fn throttle_write(&self) {
         if !self.write_latency.is_zero() {
             std::thread::sleep(self.write_latency);
-        }
-        if self.bandwidth != u64::MAX && bytes > 0 {
-            let secs = bytes as f64 / self.bandwidth as f64;
-            std::thread::sleep(Duration::from_secs_f64(secs));
         }
     }
 }
@@ -410,7 +388,7 @@ impl Files {
 /// ([`Device::truncate_below`]) is an `unlink` per segment.
 ///
 /// With one queue every write applies in issue order. With `n > 1`
-/// queues, writes are routed by offset stripe ([`WRITE_STRIPE_BITS`]),
+/// queues, writes are routed by offset stripe ([`IO_CHUNK_BYTES`]),
 /// keeping same-region writes ordered while striped bulk flushes proceed
 /// in parallel; [`FileDevice::sync`] barriers all queues and then issues
 /// one `fdatasync` per written segment.
@@ -480,7 +458,7 @@ impl FileDevice {
                                 data,
                                 handle,
                             } => {
-                                profile.throttle_write(data.len());
+                                profile.throttle_write();
                                 let res = file.write_all_at(&data, offset);
                                 handle.complete(res);
                             }
@@ -518,7 +496,7 @@ impl FileDevice {
         if self.txs.len() == 1 {
             0
         } else {
-            ((offset >> WRITE_STRIPE_BITS) as usize) % self.txs.len()
+            ((offset / IO_CHUNK_BYTES) as usize) % self.txs.len()
         }
     }
 
@@ -676,7 +654,7 @@ enum MemJob {
     Shutdown,
 }
 
-/// In-memory device with optional simulated latency/bandwidth.
+/// In-memory device with optional simulated write latency.
 pub struct MemDevice {
     data: RwLock<Vec<u8>>,
     tx: Sender<MemJob>,
@@ -686,17 +664,15 @@ pub struct MemDevice {
 
 impl MemDevice {
     pub fn new() -> Arc<Self> {
-        Self::with_profile(Duration::ZERO, u64::MAX)
+        Self::with_profile(Duration::ZERO)
     }
 
-    /// `latency` is added per write job; `bandwidth` (bytes/sec) throttles
-    /// large writes — together they approximate an SSD for experiments that
-    /// care about flush duration (e.g. paper Fig. 12's 6-second flushes).
-    pub fn with_profile(latency: Duration, bandwidth: u64) -> Arc<Self> {
+    /// `latency` is added per write job, approximating an SSD for
+    /// experiments that care about flush duration.
+    pub fn with_profile(latency: Duration) -> Arc<Self> {
         let profile = IoProfile {
             write_latency: latency,
             read_latency: Duration::ZERO,
-            bandwidth,
         };
         let (tx, rx) = unbounded::<MemJob>();
         let dev = Arc::new(MemDevice {
@@ -716,7 +692,7 @@ impl MemDevice {
                             data,
                             handle,
                         } => {
-                            profile.throttle_write(data.len());
+                            profile.throttle_write();
                             let Some(dev) = weak.upgrade() else { break };
                             let end = offset as usize + data.len();
                             let mut store = dev.data.write();
@@ -877,7 +853,7 @@ mod tests {
             },
         )
         .unwrap();
-        let stripe = 1u64 << WRITE_STRIPE_BITS;
+        let stripe = IO_CHUNK_BYTES;
         let handles: Vec<IoHandle> = (0..8)
             .map(|i| dev.write_at(i * stripe, vec![i as u8; 16]))
             .collect();
@@ -906,7 +882,7 @@ mod tests {
 
     #[test]
     fn sync_waits_for_queued_writes() {
-        let dev = MemDevice::with_profile(Duration::from_millis(5), u64::MAX);
+        let dev = MemDevice::with_profile(Duration::from_millis(5));
         let h = dev.write_at(0, vec![7; 64]);
         dev.sync().unwrap();
         assert!(h.is_done(), "barrier must drain earlier writes");
@@ -1041,29 +1017,5 @@ mod tests {
         h.wait().unwrap();
         h.wait().unwrap();
         assert!(h.is_done());
-    }
-
-    #[test]
-    fn bandwidth_throttle_slows_writes() {
-        let dev = MemDevice::with_profile(Duration::ZERO, 1_000_000); // 1 MB/s
-        let start = std::time::Instant::now();
-        dev.write_at(0, vec![0u8; 100_000]).wait().unwrap();
-        assert!(
-            start.elapsed() >= Duration::from_millis(80),
-            "100 KB at 1 MB/s should take ~100 ms"
-        );
-    }
-
-    #[test]
-    fn env_io_threads_parses_and_clamps() {
-        // Process-global env: this is the only test that touches it.
-        std::env::set_var("CPR_IO_THREADS", "4");
-        assert_eq!(env_io_threads(), 4);
-        std::env::set_var("CPR_IO_THREADS", "0");
-        assert_eq!(env_io_threads(), 1, "clamped up");
-        std::env::set_var("CPR_IO_THREADS", "nonsense");
-        assert_eq!(env_io_threads(), 1, "unparsable falls back");
-        std::env::remove_var("CPR_IO_THREADS");
-        assert_eq!(env_io_threads(), 1);
     }
 }

@@ -252,14 +252,6 @@ impl FaultInjector {
         });
     }
 
-    /// Delay the `n`-th operation from now by `millis`.
-    pub fn delay_after(&self, n: u64, millis: u64) {
-        self.arm(Fault::Delay {
-            op: self.op_count() + n,
-            millis,
-        });
-    }
-
     /// Arm an absolute-indexed fault.
     pub fn arm(&self, fault: Fault) {
         if let Fault::Crash { op } = fault {

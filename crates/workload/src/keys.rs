@@ -90,11 +90,6 @@ impl Sampler {
         }
     }
 
-    /// Key space size.
-    pub fn key_count(&self) -> u64 {
-        self.n
-    }
-
     /// Draw the next key in `[0, n)`.
     #[inline]
     pub fn next_key(&mut self) -> u64 {

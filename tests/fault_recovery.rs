@@ -995,7 +995,7 @@ fn faster_overlapped_checkpoint(
 /// recovered index digest.
 fn faster_check_recovered(dir: &std::path::Path, ops: &[Op], threads: usize, tag: &str) -> u64 {
     let (kv, manifest) = faster_opts(dir, None)
-        .recovery_threads(threads)
+        .io_threads(threads)
         .recover()
         .unwrap_or_else(|e| panic!("fault-free recovery failed ({threads} threads): {e}: {tag}"));
     assert!(manifest.is_some(), "committed checkpoint lost: {tag}");
@@ -1027,7 +1027,7 @@ fn faster_recovery_kill_case(variant: CheckpointVariant, seed: u64) {
     let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
     inj.crash_read_after(0);
     let r = faster_opts(dir.path(), Some(inj.clone()))
-        .recovery_threads(2)
+        .io_threads(2)
         .recover();
     assert!(r.is_err(), "recovery must die on read 0: {tag}");
     assert!(inj.fault_hits() >= 1, "{tag}");
@@ -1037,7 +1037,7 @@ fn faster_recovery_kill_case(variant: CheckpointVariant, seed: u64) {
     let inj = Arc::new(FaultInjector::new(FaultPlan::new()));
     inj.fail_read_after(1);
     let r = faster_opts(dir.path(), Some(inj.clone()))
-        .recovery_threads(2)
+        .io_threads(2)
         .recover();
     assert!(r.is_err(), "recovery must die on read 1: {tag}");
 
@@ -1051,7 +1051,7 @@ fn faster_recovery_kill_case(variant: CheckpointVariant, seed: u64) {
         CheckpointVariant::Snapshot => inj.torn_after(0, 7),
     }
     let r = faster_opts(dir.path(), Some(inj.clone()))
-        .recovery_threads(2)
+        .io_threads(2)
         .recover();
     match r {
         Err(_) => assert!(inj.fault_hits() >= 1, "{tag}"),
@@ -1134,7 +1134,7 @@ fn memdb_recovery_killed_then_retried() {
     let model = model_replay(&ops);
     for threads in [1usize, 2, 4] {
         let (db2, manifest) = memdb_opts(dir.path(), None)
-            .recovery_threads(threads)
+            .io_threads(threads)
             .recover()
             .unwrap_or_else(|e| {
                 panic!("fault-free recovery failed ({threads} threads): {e}: {tag}")
@@ -1249,7 +1249,7 @@ fn check_compacted_recovery(
     let mut digests = Vec::new();
     for threads in [1, 2, 4] {
         let (kv, m) = faster_opts(dir, None)
-            .recovery_threads(threads)
+            .io_threads(threads)
             .recover()
             .unwrap_or_else(|e| panic!("recovery failed ({threads} threads): {e}: {tag}"));
         let m = m.unwrap_or_else(|| panic!("no commit: {tag}"));
